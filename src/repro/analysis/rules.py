@@ -50,7 +50,6 @@ DOCUMENTED_INFO_KEYS = frozenset(
         "selection",
         "records_per_level",
         "parallel",
-        "signature_cache",
         "components",
         "n_hashes",
         "design",

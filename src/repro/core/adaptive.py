@@ -31,7 +31,6 @@ from ..kernels import resolve_kernels, use_kernels
 from ..lsh.binindex import SchemeBinIndex, resolve_bin_index
 from ..lsh.design import DesignContext, SchemeDesign, design_sequence
 from ..lsh.families import SignaturePool
-from ..lsh.keycache import LevelKeyCache
 from ..obs import DISABLED, RoundEvent, RunObserver, RunReport
 from ..obs.clock import monotonic
 from ..parallel.pool import ExecutionPool, resolve_n_jobs
@@ -86,10 +85,7 @@ class AdaptiveLSH:
     backend the same way (``REPRO_KERNELS``, default ``"numpy"``).
     Results are bit-identical for every value of either knob.  Call
     :meth:`close` (or use the instance as a context manager) to shut
-    the worker pool down.  ``config.signature_cache`` caches each
-    record's packed per-level bucket keys so repeated applications of
-    the same sequence function (re-runs, :meth:`refine`, incremental
-    mode) skip the key packing.
+    the worker pool down.
 
     A prepared instance can be frozen to disk with
     :class:`~repro.serve.IndexSnapshot` and warm-started later through
@@ -155,9 +151,6 @@ class AdaptiveLSH:
             pool=self._exec_pool,
             memo=self._pair_memo,
             kernels=self.kernels,
-        )
-        self._key_cache: LevelKeyCache | None = (
-            LevelKeyCache(len(store)) if cfg.signature_cache else None
         )
         #: Persistent fingerprint bin index (CSR collision groups and
         #: streaming delta candidates); ``None`` when disabled.
@@ -249,7 +242,7 @@ class AdaptiveLSH:
         )
 
     def _install_prepared_state(self) -> None:
-        """Wire functions, pools, observer, executor, and key cache from
+        """Wire functions, pools, observer, executor, and bin index from
         ``self._ctx`` / ``self._designs`` / ``self.cost_model`` — the
         shared tail of cold :meth:`_prepare` and warm
         :meth:`adopt_prepared_state`."""
@@ -272,10 +265,6 @@ class AdaptiveLSH:
                 # Registered before the first fork so workers inherit
                 # the family objects (parameters included) for free.
                 self._exec_pool.register_family(pool.family)
-        if self._key_cache is not None:
-            self._key_cache.observer = self.obs
-            for fn in self._functions:
-                fn.key_cache = self._key_cache.entry(fn.level)
         if self._bin_index is not None:
             self._bin_index.observer = self.obs
             for fn in self._functions:
@@ -429,8 +418,6 @@ class AdaptiveLSH:
         info["kernels"] = self.kernels
         if self._exec_pool is not None:
             info["parallel"] = self._exec_pool.stats()
-        if self._key_cache is not None:
-            info["signature_cache"] = self._key_cache.stats()
         if self._pair_memo is not None:
             info["memoized_pairs"] = self._pair_memo.stats()
         if self._bin_index is not None:

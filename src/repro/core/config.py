@@ -27,6 +27,10 @@ SELECTIONS = ("largest", "largest-unoptimized", "smallest", "random")
 #: Jump policies for the Line-5 hashing-vs-pairwise decision.
 JUMP_POLICIES = ("line5", "lookahead")
 
+#: Keys :meth:`AdaptiveConfig.to_dict` once wrote for knobs that no
+#: longer exist; ``signature_cache`` switched the packed-key cache.
+RETIRED_KEYS = frozenset({"signature_cache"})
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -55,7 +59,6 @@ class AdaptiveConfig:
     #: bit-identical, so this is a performance knob exactly like
     #: ``n_jobs`` and is likewise never serialized.
     kernels: str | None = None
-    signature_cache: bool = True
     #: Cross-round pair-verdict memoization (``None`` defers to the
     #: ``REPRO_PAIR_MEMO`` environment variable, default enabled).
     pair_memo: bool | None = None
@@ -118,7 +121,6 @@ class AdaptiveConfig:
             "jump_policy": self.jump_policy,
             "lookahead_samples": self.lookahead_samples,
             "lookahead_density": self.lookahead_density,
-            "signature_cache": self.signature_cache,
             "pair_memo": self.pair_memo,
             "pair_memo_bytes": self.pair_memo_bytes,
             "bin_index": self.bin_index,
@@ -127,8 +129,13 @@ class AdaptiveConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], **overrides: Any) -> AdaptiveConfig:
-        """Rebuild from :meth:`to_dict` output; ``overrides`` win."""
+        """Rebuild from :meth:`to_dict` output; ``overrides`` win.
+
+        Keys of retired knobs (:data:`RETIRED_KEYS`) are dropped, so
+        snapshot configs written before their removal still load.
+        """
         known = {f.name for f in fields(cls)}
+        data = {k: v for k, v in data.items() if k not in RETIRED_KEYS}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(

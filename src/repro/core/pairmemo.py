@@ -10,7 +10,7 @@ insert-then-query rounds, and across the query lifetime of a
 :class:`PairVerdictMemo` extends the saving across calls by remembering
 every verdict ever computed.
 
-Design mirrors :class:`~repro.lsh.keycache.LevelKeyCache`:
+Design:
 
 * one packed ``int64`` key per unordered pair (``min_rid`` in the high
   32 bits, ``max_rid`` in the low 32), stored in an open-addressed

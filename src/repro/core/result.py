@@ -90,12 +90,6 @@ class FilterResult:
         return self.info.get("parallel")
 
     @property
-    def signature_cache_stats(self) -> dict[str, Any] | None:
-        """Key-cache statistics (``info["signature_cache"]``), or
-        ``None`` when the cache was disabled."""
-        return self.info.get("signature_cache")
-
-    @property
     def designed_sequence(self) -> list[str] | None:
         """Human-readable per-level designs (``info["designs"]``), or
         ``None`` for methods that do not design a sequence."""

@@ -26,7 +26,6 @@ from .result import WorkCounters
 
 if TYPE_CHECKING:
     from ..lsh.binindex import LevelBins
-    from ..lsh.keycache import LevelEntry
     from ..obs.observer import RunObserver
 
 
@@ -37,15 +36,11 @@ class TransitiveHashingFunction:
         self.level = level
         self.design = design
         self.scheme: HashingScheme = design.to_scheme()
-        #: Optional :class:`~repro.lsh.keycache.LevelEntry` holding this
-        #: level's packed bucket keys per record; set by ``AdaptiveLSH``
-        #: so re-applying ``H_level`` to subclusters reuses key rows.
-        self.key_cache: LevelEntry | None = None
         #: Optional :class:`~repro.lsh.binindex.LevelBins` — when set
-        #: (by ``AdaptiveLSH``), collision groups come from the
-        #: fingerprint bin index as CSR arrays and unions run through
-        #: the vectorized :class:`ClusterUnionFind` walk.  Both paths
-        #: are bit-identical in content and cluster order.
+        #: (by ``AdaptiveLSH``), the whole level is grouped at once from
+        #: fingerprints and its distinct union edges run through one
+        #: :class:`ClusterUnionFind` walk.  Both paths are bit-identical
+        #: in content and cluster order.
         self.bin_index: LevelBins | None = None
 
     @property
@@ -78,7 +73,7 @@ class TransitiveHashingFunction:
         # scheme yields, for each table, the groups of rows that landed
         # in the same bucket, and group members get unioned.
         for collision_groups in self.scheme.iter_table_collisions(
-            rids, observer=observer, key_cache=self.key_cache
+            rids, observer=observer
         ):
             for rows in collision_groups:
                 anchor = int_rids[int(rows[0])]
@@ -97,27 +92,20 @@ class TransitiveHashingFunction:
     def _apply_binned(
         self, rids: IntArray, counters: WorkCounters | None
     ) -> list[IntArray]:
-        """CSR fast path: union whole per-table edge arrays.
+        """Level-at-once fast path: one union pass over the level's
+        distinct edges.
 
-        Each CSR group expands to the exact edge sequence the forest
-        loop replays — ``(head, member)`` for every non-head member, in
-        group yield order — and :class:`ClusterUnionFind` reproduces
-        the forest's merge rule and cluster emission order, so the
-        output arrays are byte-identical to the legacy path's.
+        The edges are the exact sequence the forest loop replays —
+        ``(head, member)`` for every non-head member, table by table,
+        group by group — minus repeats, which are union no-ops; and
+        :class:`ClusterUnionFind` reproduces the forest's merge rule and
+        cluster emission order, so the output arrays are byte-identical
+        to the legacy path's.
         """
         assert self.bin_index is not None
+        heads, members = self.bin_index.edges(self.scheme, rids)
         cuf = ClusterUnionFind(int(rids.size))
-        inserts = 0
-        for members, starts in self.bin_index.iter_table_groups(
-            self.scheme, rids, key_cache=self.key_cache
-        ):
-            if starts.size > 1:
-                lens = np.diff(starts)
-                anchors = np.repeat(members[starts[:-1]], lens - 1)
-                head_mask = np.zeros(members.size, dtype=bool)
-                head_mask[starts[:-1]] = True
-                cuf.union_edges(anchors, members[~head_mask])
-            inserts += int(rids.size)
+        cuf.union_edges(heads, members)
         if counters is not None:
-            counters.table_inserts += inserts
+            counters.table_inserts += int(rids.size) * self.scheme.table_count
         return [rids[part] for part in cuf.clusters()]

@@ -1,29 +1,32 @@
-"""Persistent per-(level, table) bin index: CSR collision groups from
-u64-fingerprint grouping, plus delta candidate generation for streams.
+"""Persistent per-level bin index: CSR collision groups from u64
+fingerprints, plus delta candidate generation for streams.
 
-:meth:`~repro.lsh.scheme.HashingScheme.iter_table_collisions` re-sorts
-every record's packed key bytes for every table at every level on every
-``run``/``refine`` — an O(tables · m · key_bytes) memcmp argsort that
-dominates once the hash values themselves are incremental (Property 4).
-This module makes the bucket *structure* incremental too:
+:meth:`~repro.lsh.scheme.HashingScheme.iter_table_collisions` packs
+every record's key bytes and memcmp-sorts them, table by table, on every
+``run``/``refine``.  Hash *values* are incremental (Property 4); this
+module makes the bucket work cheap and incremental too:
 
-* **Fingerprint grouping** — each (record, table) key row is mixed to
-  one ``uint64`` fingerprint (splitmix64 over the key's big-endian
-  words).  Grouping then argsorts 8-byte integers instead of
-  memcmp-sorting 20-100-byte keys, and only rows inside multi-member
-  fingerprint runs are touched byte-wise again.  A byte-exact tie-break
-  pass inside fingerprint-equal runs plus a final representative
-  reorder keep the emitted collision groups bit-identical — content
-  *and* yield order — to the legacy void-argsort path (the yield order
-  matters: it is the union order seen by the parent-pointer forest).
-* **CSR output** — groups come back as ``(members, starts)`` arrays,
-  not a Python list of per-bucket arrays, so the consumer unions whole
-  edge arrays per table instead of looping bucket by bucket.
+* **Fingerprints from the pools** — each (record, table) key is mixed
+  to one ``uint64`` (splitmix64 over the key's big-endian words).  The
+  words are assembled straight from
+  :class:`~repro.lsh.families.SignaturePool` columns, one NumPy pass
+  per key element across all tables of a group; no packed key rows are
+  ever built.
+* **One grouping pass per level** — :func:`group_table` sorts the whole
+  ``(records, tables)`` fingerprint matrix at once.  Only rows inside
+  multi-member fingerprint runs (the collision candidates) have their
+  key words gathered from the pools, for a byte-exact tie-break inside
+  fingerprint-equal runs and a final reorder that emits groups in the
+  legacy order: table, then byte-lexicographic key.  Group content and
+  order are therefore bit-identical to the legacy void-argsort path
+  (the order matters: it is the union order of the parent-pointer
+  forest).
+* **Distinct edges** — the level's ``(head, member)`` union edges keep
+  only their first occurrence; a repeated edge is a union no-op, so the
+  clusters, their leaf order and their emission order are unchanged.
 * **Fingerprint persistence** — each :class:`LevelBins` caches the
-  ``(n_records, n_tables)`` fingerprint matrix under a byte budget with
-  the same pass-through degradation as
-  :class:`~repro.lsh.keycache.LevelKeyCache`: over budget means
-  "compute, don't store", never "fail".
+  ``(n_records, n_tables)`` fingerprint matrix under a byte budget;
+  over budget means "compute, don't store", never "fail".
 * **Delta candidate generation** — :class:`H1DeltaIndex` keeps the
   first level's per-table ``(fingerprint, rid)`` arrays sorted across
   insert batches.  A new batch merge-inserts its keys and emits
@@ -31,17 +34,17 @@ This module makes the bucket *structure* incremental too:
   after ``insert_records`` re-groups the arriving records instead of
   the whole store.
 
-Byte comparisons ride on one invariant: key bytes interpreted as
-big-endian ``uint64`` words (zero-padded at the tail) compare, word
-tuple against word tuple, exactly like ``memcmp`` on the raw bytes —
-so ``np.lexsort`` over the word columns reproduces the legacy
-byte-lexicographic order.
+Byte comparisons ride on one invariant: a table's key is the native
+bytes of its hstack-promoted block of hash values, and those bytes read
+as big-endian ``uint64`` words (zero-padded at the tail) compare, word
+tuple against word tuple, exactly like ``memcmp`` — so ``np.lexsort``
+over the word columns reproduces the legacy byte-lexicographic order.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -54,8 +57,7 @@ from ..types import AnyArray, BoolArray, IntArray
 if TYPE_CHECKING:
     from ..obs.observer import RunObserver
     from ..structures.union_find import UnionFind
-    from .keycache import LevelEntry
-    from .scheme import HashingScheme
+    from .scheme import HashingScheme, TableGroup
 
 #: Environment variable consulted when ``AdaptiveConfig.bin_index`` is
 #: ``None``; the CLI's ``--no-bin-index`` flag sets it so the knob
@@ -65,15 +67,20 @@ BIN_INDEX_ENV = "REPRO_BIN_INDEX"
 
 #: Default cap on total index bytes (fingerprint matrices plus delta
 #: arrays) per method instance; structures that would exceed it degrade
-#: to pass-through like the key cache.
+#: to pass-through.
 DEFAULT_MAX_BYTES = 128 << 20
 
-#: One CSR table: ``members`` concatenates the row positions of every
-#: collision group; ``starts[i]:starts[i+1]`` spans group ``i``.
+#: Fingerprinting processes records in chunks whose key words take
+#: about this many bytes, so a wide level never holds all its keys.
+CHUNK_BYTES = 16 << 20
+
+#: CSR collision groups: ``members`` concatenates the row positions of
+#: every group; ``starts[i]:starts[i+1]`` spans group ``i``.
 CsrGroups = tuple[IntArray, IntArray]
 
-#: Lazily fetched packed key rows plus their per-table byte layout.
-RowsFn = Callable[[], tuple[AnyArray, list[tuple[int, int]]]]
+#: ``words_of(tables, positions)``: big-endian key words of row
+#: ``positions[i]`` in table ``tables[i]``, one row per entry.
+WordsFn = Callable[[IntArray, IntArray], AnyArray]
 
 
 def resolve_bin_index(flag: bool | None = None) -> bool:
@@ -97,54 +104,106 @@ def resolve_bin_index(flag: bool | None = None) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Key words and fingerprints
-def pack_key_words(rows: AnyArray) -> AnyArray:
-    """Big-endian ``uint64`` words of packed key rows (``(m, nbytes)``
-    uint8), zero-padded so tuple order equals ``memcmp`` order."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    m, nbytes = rows.shape
-    nwords = (nbytes + 7) // 8
-    if nbytes == nwords * 8:
-        return rows.view(">u8").astype(np.uint64)
-    padded = np.zeros((m, nwords * 8), dtype=np.uint8)
-    padded[:, :nbytes] = rows
-    return padded.view(">u8").astype(np.uint64)
+# Key words and fingerprints, straight from the signature pools
+def _key_dtype(group: TableGroup) -> np.dtype[Any]:
+    """Element dtype of a group's keys: what ``np.hstack`` promotes the
+    uses' hash values to."""
+    return np.result_type(*(use.pool.family.dtype for use in group.uses))
 
 
-def strided_key_words(rows: AnyArray, offset: int, nbytes: int) -> AnyArray:
-    """Big-endian ``uint64`` words of ``rows[:, offset:offset+nbytes]``.
+def _n_words(group: TableGroup) -> int:
+    return -(-group.hashes_per_table * _key_dtype(group).itemsize // 8)
 
-    Accumulates the slice column by column, so a table's span of a
-    cached key-row matrix feeds the fingerprint mix without the
-    per-table contiguous copy the legacy grouping path makes.
+
+def _words(blocks: list[AnyArray], dtype: np.dtype[Any]) -> AnyArray:
+    """Big-endian ``uint64`` words of keys that concatenate ``blocks``
+    (hash values shaped ``(..., w_u)``, one per pool use) along the last
+    axis, after promotion to ``dtype``: shape ``(..., n_words)``.
+
+    The key bytes are the native bytes of the promoted values (what
+    ``np.hstack`` builds); every itemsize divides 8, so zero-padding the
+    values to whole words and reading them as ``>u8`` gives the words.
     """
-    words = np.zeros((rows.shape[0], (nbytes + 7) // 8), dtype=np.uint64)
-    for b in range(nbytes):
-        shift = np.uint64(8 * (7 - (b & 7)))
-        words[:, b >> 3] |= rows[:, offset + b].astype(np.uint64) << shift
-    return words
+    per_word = 8 // dtype.itemsize
+    total = sum(block.shape[-1] for block in blocks)
+    key = np.zeros(
+        (*blocks[0].shape[:-1], -(-total // per_word) * per_word), dtype=dtype
+    )
+    base = 0
+    for block in blocks:
+        key[..., base : base + block.shape[-1]] = block
+        base += block.shape[-1]
+    return key.view(">u8").astype(np.uint64)
 
 
-def fingerprint_words(words: AnyArray) -> AnyArray:
-    """One splitmix64-mixed ``uint64`` fingerprint per word row.
-
-    Equal key rows always fingerprint equally; unequal rows collide
-    with probability ~2^-64 per pair, and the grouping tie-break makes
-    even those collisions harmless.
-    """
-    fp = _splitmix64(words[:, 0])
-    for j in range(1, words.shape[1]):
-        fp = _splitmix64(fp ^ words[:, j])
+def _mix(words: AnyArray) -> AnyArray:
+    """splitmix64 chain over the key words on the last axis: equal keys
+    always fingerprint equally; unequal keys collide with probability
+    ~2^-64, and the grouping tie-break makes even those collisions
+    harmless."""
+    fp = _splitmix64(words[..., 0])
+    for j in range(1, words.shape[-1]):
+        fp = _splitmix64(fp ^ words[..., j])
     return np.asarray(fp, dtype=np.uint64)
 
 
-def _table_fingerprints(
-    rows: AnyArray, layout: list[tuple[int, int]]
+def table_fingerprints(scheme: HashingScheme, rids: IntArray) -> AnyArray:
+    """Every table's key fingerprints for ``rids``: ``(len(rids),
+    table_count)`` uint64.
+
+    Each group's pool columns are read as ``(records, tables, w)``
+    views, so all of a group's tables are keyed and mixed together;
+    records go in chunks that keep the key words near
+    :data:`CHUNK_BYTES`.
+    """
+    m = rids.size
+    out = np.empty((m, scheme.table_count), dtype=np.uint64)
+    t0 = 0
+    for group in scheme.groups:
+        z = group.z
+        for use in group.uses:
+            use.pool.ensure(rids, use.offset + z * use.w)
+        step = max(1, CHUNK_BYTES // (z * _n_words(group) * 8))
+        for lo in range(0, m, step):
+            chunk = rids[lo : lo + step]
+            blocks = [
+                use.pool.signatures(chunk, use.offset + z * use.w)[
+                    :, use.offset :
+                ].reshape(chunk.size, z, use.w)
+                for use in group.uses
+            ]
+            out[lo : lo + step, t0 : t0 + z] = _mix(
+                _words(blocks, _key_dtype(group))
+            )
+        t0 += z
+    return out
+
+
+def key_words(
+    scheme: HashingScheme, tables: IntArray, rids: IntArray
 ) -> AnyArray:
-    """Per-table fingerprints of packed key rows: ``(m, n_tables)``."""
-    out = np.empty((rows.shape[0], len(layout)), dtype=np.uint64)
-    for t, (offset, nbytes) in enumerate(layout):
-        out[:, t] = fingerprint_words(strided_key_words(rows, offset, nbytes))
+    """Big-endian key words of record ``rids[i]`` in table ``tables[i]``:
+    ``(n, max words per key)`` uint64, zero-padded.  One fancy index
+    per pool use reads the keys' hash values from the pool columns."""
+
+    def group_words(group: TableGroup, sub: IntArray, local: IntArray) -> AnyArray:
+        blocks = [
+            use.pool.table_values(sub, local, use.w, use.offset, group.z)
+            for use in group.uses
+        ]
+        return _words(blocks, _key_dtype(group))
+
+    if len(scheme.groups) == 1:
+        return group_words(scheme.groups[0], rids, tables)
+    width = max(_n_words(group) for group in scheme.groups)
+    out = np.zeros((rids.size, width), dtype=np.uint64)
+    t0 = 0
+    for group in scheme.groups:
+        sel = np.flatnonzero((tables >= t0) & (tables < t0 + group.z))
+        if sel.size:
+            words = group_words(group, rids[sel], tables[sel] - t0)
+            out[sel, : words.shape[1]] = words
+        t0 += group.z
     return out
 
 
@@ -154,237 +213,200 @@ def _empty_csr() -> CsrGroups:
     return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
 
 
-def group_table(
-    fps: AnyArray, words_of: Callable[[IntArray], AnyArray]
-) -> CsrGroups:
-    """CSR collision groups of one table from per-row fingerprints.
+def group_table(fps: AnyArray, words_of: WordsFn) -> CsrGroups:
+    """CSR collision groups of every table, from per-row fingerprints.
 
-    ``words_of(positions)`` must return the big-endian key words of the
-    given row positions; it is called once, with only the rows that sit
-    inside multi-member fingerprint runs (the collision candidates).
+    ``fps`` is ``(m, n_tables)`` (or ``(m,)`` for one table).
+    ``words_of(tables, positions)`` must return the big-endian key
+    words of the given (table, row) entries; it is called once, with
+    only the entries that sit inside multi-member fingerprint runs (the
+    collision candidates).
 
-    The output is bit-identical — group content *and* emission order —
-    to the legacy void-argsort grouping: groups are >= 2 rows sharing
-    the exact key bytes, emitted in byte-lexicographic key order, with
+    The output is bit-identical — group content *and* order — to the
+    legacy void-argsort grouping run table by table: groups are >= 2
+    rows sharing the exact key bytes of one table, emitted table by
+    table and, within a table, in byte-lexicographic key order, with
     members in ascending row position.
     """
-    m = int(fps.size)
-    if m < 2:
+    fps = np.asarray(fps, dtype=np.uint64)
+    if fps.ndim == 1:
+        fps = fps[:, None]
+    m, n_tables = fps.shape
+    if m < 2 or n_tables == 0:
         return _empty_csr()
-    order = np.argsort(fps, kind="stable").astype(np.int64, copy=False)
-    sfp = fps[order]
-    run_change = np.empty(m, dtype=bool)
-    run_change[0] = True
-    run_change[1:] = sfp[1:] != sfp[:-1]
-    run_starts = np.nonzero(run_change)[0]
-    run_lens = np.append(run_starts[1:], m) - run_starts
-    multi = run_lens >= 2
-    if not bool(multi.any()):
+    # One sort per level, rows = tables, so flat index t * m + i walks
+    # the tables in order.  Each entry packs the fingerprint's top bits
+    # over the row position: a plain value sort is then a stable
+    # fingerprint argsort.  Equal keys share one run with positions
+    # ascending; keys whose fingerprints agree only in the top bits are
+    # split by the byte tie-break below, like any other collision.
+    bits = np.uint64(max(1, (m - 1).bit_length()))
+    packed = fps.T.copy()
+    packed >>= bits
+    packed <<= bits
+    packed |= np.arange(m, dtype=np.uint64)
+    packed.sort(axis=1)
+    high = packed >> bits
+    # continues[t, i]: sorted entry i extends entry i - 1's run.
+    continues = np.zeros((n_tables, m), dtype=bool)
+    np.equal(high[:, 1:], high[:, :-1], out=continues[:, 1:])
+    in_run = continues.copy()
+    in_run[:, :-1] |= continues[:, 1:]
+    sel = np.flatnonzero(in_run)
+    if sel.size == 0:
         return _empty_csr()
-    mstarts = run_starts[multi].astype(np.int64, copy=False)
-    mlens = run_lens[multi].astype(np.int64, copy=False)
-    bounds = np.zeros(mlens.size + 1, dtype=np.int64)
-    np.cumsum(mlens, out=bounds[1:])
-    total = int(bounds[-1])
-    sel = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(bounds[:-1], mlens)
-        + np.repeat(mstarts, mlens)
+    run_head = ~continues.ravel()[sel]
+    cand = (packed.ravel()[sel] & ((np.uint64(1) << bits) - np.uint64(1))).astype(
+        np.int64
     )
-    cand = order[sel]
-    words = words_of(cand)
-    run_id = np.repeat(np.arange(mlens.size, dtype=np.int64), mlens)
-    change = np.empty(total, dtype=bool)
-    change[0] = True
-    change[1:] = (run_id[1:] != run_id[:-1]) | (
-        (words[1:] != words[:-1]).any(axis=1)
-    )
-    is_run_head = np.zeros(total, dtype=bool)
-    is_run_head[bounds[:-1]] = True
-    extra = change & ~is_run_head
-    if bool(extra.any()):
-        # True 64-bit fingerprint collisions: a run holds more than one
+    tables = sel // m
+    words = words_of(tables, cand)
+    total = cand.size
+    new_key = np.ones(total, dtype=bool)
+    new_key[1:] = (words[1:] != words[:-1]).any(axis=1)
+    collided = new_key & ~run_head
+    if bool(collided.any()):
+        # True fingerprint collisions: a run holds more than one
         # distinct key.  Stable-sort each affected run by its key words
         # so equal keys become contiguous while rows within a key keep
-        # their ascending positions.
-        for r in np.unique(run_id[extra]).tolist():
+        # their ascending positions (a run never spans two tables).
+        bounds = np.append(np.flatnonzero(run_head), total)
+        run_of = np.cumsum(run_head) - 1
+        for r in np.unique(run_of[collided]).tolist():
             s, e = int(bounds[r]), int(bounds[r + 1])
             sub = np.lexsort(words[s:e].T[::-1])
             cand[s:e] = cand[s:e][sub]
             words[s:e] = words[s:e][sub]
-        change[1:] = (run_id[1:] != run_id[:-1]) | (
-            (words[1:] != words[:-1]).any(axis=1)
-        )
-    g_starts = np.nonzero(change)[0].astype(np.int64, copy=False)
-    g_ends = np.append(g_starts[1:], total)
-    keep = (g_ends - g_starts) >= 2
-    if not bool(keep.any()):
+        new_key[1:] = (words[1:] != words[:-1]).any(axis=1)
+    is_start = np.ones(total + 1, dtype=bool)
+    np.logical_or(run_head, new_key, out=is_start[:-1])
+    bounds = np.flatnonzero(is_start)
+    lens = bounds[1:] - bounds[:-1]
+    keep = lens >= 2
+    g_starts = bounds[:-1][keep]
+    lens = lens[keep]
+    if g_starts.size == 0:
         return _empty_csr()
-    g_starts = g_starts[keep]
-    g_ends = g_ends[keep]
     if g_starts.size > 1:
-        # The legacy path emits buckets in byte-lexicographic key
-        # order; fingerprint runs are ordered by fingerprint instead,
-        # so reorder the kept groups by their (distinct) representative
-        # key words.
-        rep_order = np.lexsort(words[g_starts].T[::-1])
+        # Fingerprint runs are ordered by fingerprint; the legacy path
+        # emits table by table, each in byte-lexicographic key order.
+        rep_order = np.lexsort((*words[g_starts].T[::-1], tables[g_starts]))
         g_starts = g_starts[rep_order]
-        g_ends = g_ends[rep_order]
-    lens = g_ends - g_starts
+        lens = lens[rep_order]
     starts = np.zeros(lens.size + 1, dtype=np.int64)
     np.cumsum(lens, out=starts[1:])
-    pos = (
-        np.arange(int(starts[-1]), dtype=np.int64)
-        - np.repeat(starts[:-1], lens)
-        + np.repeat(g_starts, lens)
+    pos = np.arange(int(starts[-1]), dtype=np.int64) + np.repeat(
+        g_starts - starts[:-1], lens
     )
     return cand[pos], starts
 
 
-def csr_to_groups(members: IntArray, starts: IntArray) -> list[IntArray]:
-    """Explode CSR groups to the legacy list-of-arrays shape (tests)."""
-    return [
-        members[int(starts[i]) : int(starts[i + 1])]
-        for i in range(starts.size - 1)
-    ]
+def csr_edges(
+    members: IntArray, starts: IntArray
+) -> tuple[IntArray, IntArray]:
+    """The union edges a forest replay of CSR groups performs:
+    ``(head, member)`` for every non-head member, in group order."""
+    lens = starts[1:] - starts[:-1]
+    heads = np.repeat(members[starts[:-1]], lens - 1)
+    is_head = np.zeros(members.size, dtype=bool)
+    is_head[starts[:-1]] = True
+    return heads, members[~is_head]
+
+
+def distinct_edges(
+    heads: IntArray, members: IntArray, n: int
+) -> tuple[IntArray, IntArray]:
+    """Edges over ``0..n-1`` with repeats dropped, first occurrences
+    kept in order.  Exact for any union-find replay: a repeated edge
+    joins endpoints its first occurrence already joined."""
+    if heads.size < 2:
+        return heads, members
+    keys = heads * n + members
+    order = np.argsort(keys)
+    run_start = np.empty(order.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=run_start[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(run_start))
+    first.sort()
+    return heads[first], members[first]
 
 
 # ----------------------------------------------------------------------
 class LevelBins:
-    """One sequence level's persistent fingerprint matrix plus the CSR
-    grouping entry point used by
+    """One sequence level's persistent fingerprint matrix plus the
+    level-at-once grouping used by
     :class:`~repro.core.transitive.TransitiveHashingFunction`."""
 
     def __init__(self, owner: SchemeBinIndex, level: int) -> None:
         self._owner = owner
         self.level = level
-        #: Per-table ``(offset, nbytes)`` spans; fixed by the level's
-        #: scheme, captured on first use.
-        self.layout: list[tuple[int, int]] | None = None
+        #: False until the first application sized (or declined) the
+        #: fingerprint matrix against the byte budget.
+        self._sized = False
         self._fps: AnyArray | None = None
         self._have: BoolArray = np.zeros(0, dtype=bool)
 
-    def _rows_fn(
-        self,
-        scheme: HashingScheme,
-        rids: IntArray,
-        key_cache: LevelEntry | None,
-    ) -> RowsFn:
-        """Memoized fetch of the packed key rows for ``rids`` — shared
-        by the fingerprint fill and the byte tie-break so the key cache
-        is consulted once per application."""
-        box: list[tuple[AnyArray, list[tuple[int, int]]] | None] = [None]
+    def fingerprints(self, scheme: HashingScheme, rids: IntArray) -> AnyArray:
+        """Per-table fingerprints for ``rids``: ``(len(rids),
+        table_count)`` uint64.
 
-        def fetch() -> tuple[AnyArray, list[tuple[int, int]]]:
-            if box[0] is None:
-                if key_cache is not None:
-                    box[0] = key_cache.rows(scheme, rids)
-                else:
-                    box[0] = scheme.table_key_rows(rids)
-            return box[0]
-
-        return fetch
-
-    def fingerprints(
-        self,
-        scheme: HashingScheme,
-        rids: IntArray,
-        key_cache: LevelEntry | None,
-    ) -> tuple[AnyArray, RowsFn]:
-        """Per-table fingerprints for ``rids`` (``(len(rids), n_tables)``
-        uint64) plus the shared lazy row fetch.
-
-        Cached fingerprints are served without touching key rows at
-        all; missing ones are computed through the strided no-copy path
-        and stored when the byte budget allows.
+        Cached fingerprints are served without touching the pools;
+        missing ones are computed from the pool columns and stored when
+        the byte budget allows.
         """
         owner = self._owner
-        rows_fn = self._rows_fn(scheme, rids, key_cache)
-        if self.layout is None:
-            rows, layout = rows_fn()
-            self.layout = layout
-            total = owner.n_records * (len(layout) * 8 + 1)
-            if owner.reserve(total):
+        if not self._sized:
+            self._sized = True
+            n_tables = scheme.table_count
+            if owner.reserve(owner.n_records * (n_tables * 8 + 1)):
                 self._fps = np.zeros(
-                    (owner.n_records, len(layout)), dtype=np.uint64
+                    (owner.n_records, n_tables), dtype=np.uint64
                 )
                 self._have = np.zeros(owner.n_records, dtype=bool)
             else:
                 owner.degraded += 1
-            fps = _table_fingerprints(rows, layout)
-            if self._fps is not None:
-                self._fps[rids] = fps
-                self._have[rids] = True
-            owner.record_fp(0, int(rids.size))
-            return fps, rows_fn
         if self._fps is None:
             # Over the byte budget: stay a pass-through.
-            rows, _ = rows_fn()
             owner.record_fp(0, int(rids.size))
-            return _table_fingerprints(rows, self.layout), rows_fn
+            return table_fingerprints(scheme, rids)
         known = self._have[rids]
-        if not bool(known.all()):
-            rows, _ = rows_fn()
+        hits = int(known.sum())
+        if hits < rids.size:
             missing = rids[~known]
-            self._fps[missing] = _table_fingerprints(
-                rows[~known], self.layout
-            )
+            self._fps[missing] = table_fingerprints(scheme, missing)
             self._have[missing] = True
-        owner.record_fp(int(known.sum()), int(rids.size - known.sum()))
-        return self._fps[rids], rows_fn
+        owner.record_fp(hits, int(rids.size) - hits)
+        return self._fps[rids]
 
-    def iter_table_groups(
-        self,
-        scheme: HashingScheme,
-        rids: IntArray,
-        key_cache: LevelEntry | None = None,
-    ) -> Iterator[CsrGroups]:
-        """Yield each table's CSR collision groups for ``rids``.
-
-        Group content and yield order are bit-identical to
-        :meth:`~repro.lsh.scheme.HashingScheme.iter_table_collisions`
-        over the same rows; only the representation (CSR instead of a
-        list of arrays) and the work profile differ.
-        """
-        rids = np.asarray(rids, dtype=np.int64)
+    def edges(
+        self, scheme: HashingScheme, rids: IntArray
+    ) -> tuple[IntArray, IntArray]:
+        """The distinct union edges of one application of this level to
+        ``rids``, as row positions, in the order the legacy per-table
+        forest replay first performs them."""
         owner = self._owner
         obs = owner.observer
         timed = obs is not None and obs.enabled
-        fps, rows_fn = self.fingerprints(scheme, rids, key_cache)
-        assert self.layout is not None
-        started = 0.0
-        for t, (offset, nbytes) in enumerate(self.layout):
-            if timed:
-                started = monotonic()
-            packed = [0]
-
-            def words_of(
-                positions: IntArray,
-                _offset: int = offset,
-                _nbytes: int = nbytes,
-                _packed: list[int] = packed,
-            ) -> AnyArray:
-                rows, _ = rows_fn()
-                _packed[0] += int(positions.size) * _nbytes
-                return pack_key_words(
-                    rows[positions, _offset : _offset + _nbytes]
-                )
-
-            members, starts = group_table(fps[:, t], words_of)
-            if key_cache is not None:
-                # The legacy path copies every row of this table's span
-                # through np.ascontiguousarray; the fingerprint path
-                # only packed the collision candidates.
-                saved = int(rids.size) * nbytes - packed[0]
-                if saved > 0:
-                    key_cache.record_saved(saved)
-            owner.record_group(int(rids.size), int(starts.size - 1))
-            if timed:
-                assert obs is not None
-                obs.histogram("binindex.table_group_seconds").observe(
-                    monotonic() - started
-                )
-            yield members, starts
+        started = monotonic() if timed else 0.0
+        fps = self.fingerprints(scheme, rids)
+        members, starts = group_table(
+            fps,
+            lambda tables, positions: key_words(
+                scheme, tables, rids[positions]
+            ),
+        )
+        owner.record_group(
+            scheme.table_count, int(rids.size), int(starts.size - 1)
+        )
+        heads, others = csr_edges(members, starts)
+        if scheme.table_count > 1:
+            heads, others = distinct_edges(heads, others, int(rids.size))
+        if timed:
+            assert obs is not None
+            obs.histogram("binindex.level_group_seconds").observe(
+                monotonic() - started
+            )
+        return heads, others
 
 
 # ----------------------------------------------------------------------
@@ -392,10 +414,10 @@ class SchemeBinIndex:
     """All levels' :class:`LevelBins` plus the shared byte budget,
     counters, and the streaming :class:`H1DeltaIndex` factory.
 
-    One instance lives per :class:`~repro.core.adaptive.AdaptiveLSH`
-    (mirroring :class:`~repro.lsh.keycache.LevelKeyCache`), wired onto
-    each :class:`~repro.core.transitive.TransitiveHashingFunction`
-    during ``_install_prepared_state``.
+    One instance lives per :class:`~repro.core.adaptive.AdaptiveLSH`,
+    wired onto each
+    :class:`~repro.core.transitive.TransitiveHashingFunction` during
+    ``_install_prepared_state``.
     """
 
     def __init__(
@@ -439,10 +461,7 @@ class SchemeBinIndex:
         return self._reserved
 
     def h1_delta(
-        self,
-        scheme: HashingScheme,
-        key_cache: LevelEntry | None,
-        state: dict[str, Any] | None = None,
+        self, scheme: HashingScheme, state: dict[str, Any] | None = None
     ) -> H1DeltaIndex | None:
         """A first-level delta index, optionally warm-started from a
         prior index's :meth:`H1DeltaIndex.export_state`.
@@ -451,7 +470,7 @@ class SchemeBinIndex:
         layout changed, or its arrays exceed the byte budget) — the
         caller then rebuilds from scratch, which is always correct.
         """
-        delta = H1DeltaIndex(self, scheme, self.level(1), key_cache)
+        delta = H1DeltaIndex(self, scheme, self.level(1))
         if state is not None and not delta.adopt_state(state):
             return None
         return delta
@@ -466,14 +485,16 @@ class SchemeBinIndex:
             if misses:
                 obs.counter("binindex.fp_misses").inc(misses)
 
-    def record_group(self, rows: int, groups: int) -> None:
-        self.tables_grouped += 1
-        self.rows_grouped += rows
+    def record_group(self, tables: int, rows: int, groups: int) -> None:
+        """Count one level-at-once grouping of ``rows`` records in each
+        of ``tables`` tables."""
+        self.tables_grouped += tables
+        self.rows_grouped += tables * rows
         self.collision_groups += groups
         obs = self.observer
         if obs is not None and obs.enabled:
-            obs.counter("binindex.tables_grouped").inc()
-            obs.counter("binindex.rows_grouped").inc(rows)
+            obs.counter("binindex.tables_grouped").inc(tables)
+            obs.counter("binindex.rows_grouped").inc(tables * rows)
             obs.counter("binindex.collision_groups").inc(groups)
 
     def record_delta(self, rows: int, pairs: int, buckets: int) -> None:
@@ -525,29 +546,17 @@ class H1DeltaIndex:
     """
 
     def __init__(
-        self,
-        owner: SchemeBinIndex,
-        scheme: HashingScheme,
-        bins: LevelBins,
-        key_cache: LevelEntry | None,
+        self, owner: SchemeBinIndex, scheme: HashingScheme, bins: LevelBins
     ) -> None:
         self._owner = owner
         self._scheme = scheme
         self._bins = bins
-        self._key_cache = key_cache
         self._fps: list[AnyArray] = []
         self._rids: list[IntArray] = []
 
     @property
     def indexed_records(self) -> int:
         return int(self._fps[0].size) if self._fps else 0
-
-    def _rows_for(
-        self, rids: IntArray
-    ) -> tuple[AnyArray, list[tuple[int, int]]]:
-        if self._key_cache is not None:
-            return self._key_cache.rows(self._scheme, rids)
-        return self._scheme.table_key_rows(rids)
 
     def export_state(self) -> dict[str, Any]:
         """Carryable view of the sorted per-table arrays.
@@ -589,93 +598,73 @@ class H1DeltaIndex:
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
             return True
-        fps, rows_fn = self._bins.fingerprints(
-            self._scheme, rids, self._key_cache
-        )
-        layout = self._bins.layout
-        assert layout is not None
+        scheme = self._scheme
+        n_tables = scheme.table_count
+        fps = self._bins.fingerprints(scheme, rids)
         if not self._fps:
-            self._fps = [
-                np.empty(0, dtype=np.uint64) for _ in range(len(layout))
-            ]
-            self._rids = [
-                np.empty(0, dtype=np.int64) for _ in range(len(layout))
-            ]
-        if not self._owner.reserve(int(rids.size) * len(layout) * 16):
+            self._fps = [np.empty(0, dtype=np.uint64)] * n_tables
+            self._rids = [np.empty(0, dtype=np.int64)] * n_tables
+        if not self._owner.reserve(int(rids.size) * n_tables * 16):
             self._owner.degraded += 1
             return False
-        pairs = 0
-        buckets = 0
-        for t, (offset, nbytes) in enumerate(layout):
-            ex_fp, ex_rid = self._fps[t], self._rids[t]
-            fp = fps[:, t]
-            order = np.argsort(fp, kind="stable").astype(np.int64, copy=False)
-            sfp = fp[order]
-            srid = rids[order]
-
-            def words_of(
-                positions: IntArray,
-                _offset: int = offset,
-                _nbytes: int = nbytes,
-            ) -> AnyArray:
-                rows, _ = rows_fn()
-                return pack_key_words(
-                    rows[positions, _offset : _offset + _nbytes]
-                )
-
-            # Batch-internal candidate pairs (byte-verified groups).
-            members, starts = group_table(fp, words_of)
-            if starts.size > 1:
-                lens = np.diff(starts)
-                anchors = np.repeat(members[starts[:-1]], lens - 1)
-                head_mask = np.zeros(members.size, dtype=bool)
-                head_mask[starts[:-1]] = True
-                others = members[~head_mask]
-                uf.union_edges(rids[anchors], rids[others])
-                pairs += int(others.size)
-                buckets += int(starts.size - 1)
-            # Delta pairs against existing buckets: every new row whose
-            # fingerprint hits an existing run is byte-verified against
-            # the run head; mismatches scan the run (real fingerprint
-            # collisions only).
-            if ex_fp.size:
-                pos_l = np.searchsorted(ex_fp, sfp, side="left")
-                pos_r = np.searchsorted(ex_fp, sfp, side="right")
-                midx = np.nonzero(pos_r > pos_l)[0]
-                if midx.size:
-                    heads = ex_rid[pos_l[midx]]
-                    head_rows, _ = self._rows_for(heads)
-                    head_words = pack_key_words(
-                        head_rows[:, offset : offset + nbytes]
-                    )
-                    new_words = words_of(order[midx])
-                    ok = (new_words == head_words).all(axis=1)
-                    uf.union_edges(srid[midx[ok]], heads[ok])
-                    pairs += int(ok.sum())
-                    buckets += int(midx.size)
-                    for j in np.nonzero(~ok)[0].tolist():
-                        i = int(midx[j])
-                        s, e = int(pos_l[i]), int(pos_r[i])
-                        if e - s <= 1:
-                            continue
-                        run_rids = ex_rid[s:e]
-                        run_rows, _ = self._rows_for(run_rids)
-                        run_words = pack_key_words(
-                            run_rows[:, offset : offset + nbytes]
-                        )
-                        hit = np.nonzero(
-                            (run_words == new_words[j]).all(axis=1)
-                        )[0]
-                        if hit.size:
-                            uf.union(int(srid[i]), int(run_rids[hit[0]]))
-                            pairs += 1
-                ins = np.searchsorted(ex_fp, sfp, side="right")
-                self._fps[t] = np.insert(ex_fp, ins, sfp)
-                self._rids[t] = np.insert(ex_rid, ins, srid)
-            else:
-                self._fps[t] = sfp.copy()
-                self._rids[t] = srid.copy()
-        self._owner.record_delta(
-            int(rids.size) * len(layout), pairs, buckets
+        # Batch-internal candidate pairs: byte-verified groups of every
+        # table at once.
+        members, starts = group_table(
+            fps,
+            lambda tables, positions: key_words(
+                scheme, tables, rids[positions]
+            ),
         )
+        heads, others = csr_edges(members, starts)
+        pairs = int(others.size)
+        buckets = int(starts.size - 1)
+        uf.union_edges(rids[heads], rids[others])
+        # Delta pairs against existing buckets: every new row whose
+        # fingerprint hits an existing run is byte-verified against the
+        # run head; mismatches scan the run (real fingerprint
+        # collisions only).
+        order = np.argsort(fps, axis=0, kind="stable")
+        old_rids = self._rids
+        new_fps: list[AnyArray] = []
+        new_rids: list[IntArray] = []
+        hits: list[tuple[int, IntArray, IntArray, IntArray]] = []
+        for t in range(n_tables):
+            ex_fp, ex_rid = self._fps[t], old_rids[t]
+            rows = order[:, t]
+            sfp = fps[rows, t]
+            lo = np.searchsorted(ex_fp, sfp, side="left")
+            hi = np.searchsorted(ex_fp, sfp, side="right")
+            midx = np.flatnonzero(hi > lo)
+            if midx.size:
+                hits.append((t, rows[midx], lo[midx], hi[midx]))
+            new_fps.append(np.insert(ex_fp, hi, sfp))
+            new_rids.append(np.insert(ex_rid, hi, rids[rows]))
+        if hits:
+            tables = np.concatenate(
+                [np.full(rows.size, t, dtype=np.int64) for t, rows, _, _ in hits]
+            )
+            rows = np.concatenate([hit[1] for hit in hits])
+            lo = np.concatenate([hit[2] for hit in hits])
+            hi = np.concatenate([hit[3] for hit in hits])
+            heads = np.concatenate([old_rids[t][s] for t, _, s, _ in hits])
+            new_words = key_words(scheme, tables, rids[rows])
+            ok = (new_words == key_words(scheme, tables, heads)).all(axis=1)
+            uf.union_edges(rids[rows[ok]], heads[ok])
+            pairs += int(ok.sum())
+            buckets += int(rows.size)
+            for j in np.flatnonzero(~ok).tolist():
+                t, s, e = int(tables[j]), int(lo[j]), int(hi[j])
+                if e - s <= 1:
+                    continue
+                run = old_rids[t][s:e]
+                run_words = key_words(
+                    scheme, np.full(run.size, t, dtype=np.int64), run
+                )
+                same = np.flatnonzero((run_words == new_words[j]).all(axis=1))
+                if same.size:
+                    uf.union(int(rids[rows[j]]), int(run[same[0]]))
+                    pairs += 1
+        self._fps = new_fps
+        self._rids = new_rids
+        self._owner.record_delta(int(rids.size) * n_tables, pairs, buckets)
         return True

@@ -243,3 +243,18 @@ class SignaturePool:
         rids = np.asarray(rids, dtype=np.int64)
         self.ensure(rids, count)
         return self._data[rids, :count]
+
+    def table_values(
+        self, rids: IntArray, tables: IntArray, w: int, offset: int, z: int
+    ) -> AnyArray:
+        """The ``w`` hash values table ``tables[i]`` of a ``z``-table
+        layout reads for record ``rids[i]`` — columns ``offset +
+        [t * w, (t + 1) * w)`` — as a ``(len(rids), w)`` array."""
+        count = offset + z * w
+        self.ensure(rids, count)
+        # Each table's w values as one opaque item, so the gather copies
+        # whole keys instead of indexing value by value.
+        dtype = self._data.dtype
+        item = np.dtype((np.void, w * dtype.itemsize))
+        by_table = self._data[:, offset:count].view(item)
+        return by_table[rids, tables].view(dtype).reshape(rids.size, w)

@@ -30,7 +30,6 @@ from .families import SignaturePool
 
 if TYPE_CHECKING:
     from ..obs.observer import RunObserver
-    from .keycache import LevelEntry
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ class HashingScheme:
         self,
         rids: ArrayLike,
         observer: RunObserver | None = None,
-        key_cache: LevelEntry | None = None,
     ) -> Iterator[list[IntArray]]:
         """Yield, for every table, the bucket collision groups: arrays of
         *row positions* (indices into ``rids``) that share a bucket.
@@ -146,26 +144,10 @@ class HashingScheme:
         ``observer`` (an enabled
         :class:`~repro.obs.observer.RunObserver`) adds per-table
         grouping time and collision-group counts to the run metrics.
-
-        ``key_cache`` (a :class:`~repro.lsh.keycache.LevelEntry`) serves
-        each record's packed key row from cache when available.  Cached
-        rows are the same raw bytes the uncached path groups on, so
-        collision groups — content *and* yield order — are identical.
         """
         timed = observer is not None and observer.enabled
         started = 0.0
-        blocks: Iterable[AnyArray]
-        if key_cache is not None:
-            rows, layout = key_cache.rows(
-                self, np.asarray(rids, dtype=np.int64)
-            )
-            blocks = (
-                np.ascontiguousarray(rows[:, off : off + nbytes])
-                for off, nbytes in layout
-            )
-        else:
-            blocks = self._iter_table_blocks(rids)
-        for block in blocks:
+        for block in self._iter_table_blocks(rids):
             if timed:
                 started = monotonic()
             void = block.view(

@@ -152,9 +152,7 @@ class StreamingTopK:
         self._h1 = self._adaptive._functions[0]
         owner = self._adaptive.bin_index
         if owner is not None:
-            self._delta = owner.h1_delta(
-                self._h1.scheme, self._h1.key_cache
-            )
+            self._delta = owner.h1_delta(self._h1.scheme)
         if self._delta is None:
             self._tables = [
                 dict() for _ in range(self._h1.scheme.table_count)
@@ -173,9 +171,7 @@ class StreamingTopK:
         self._h1 = self._adaptive._functions[0]
         owner = self._adaptive.bin_index
         delta = (
-            owner.h1_delta(
-                self._h1.scheme, self._h1.key_cache, state=carry.h1_state
-            )
+            owner.h1_delta(self._h1.scheme, state=carry.h1_state)
             if owner is not None
             else None
         )

@@ -4,7 +4,7 @@
 one-shot :func:`~repro.core.adaptive.adaptive_filter`: it owns a
 :class:`~repro.records.RecordStore` plus one prepared (cold) or
 restored (warm) :class:`~repro.core.adaptive.AdaptiveLSH`, and answers
-repeated ``top_k`` queries against them.  Signature pools, key caches,
+repeated ``top_k`` queries against them.  Signature pools, the bin index,
 and the worker :class:`~repro.parallel.pool.ExecutionPool` all live for
 the session, so every query after the first pays only its marginal
 hashing.

@@ -1,14 +1,32 @@
 """End-to-end identity: final clusters are bit-identical with the bin
 index on and off, across kernel backends, worker counts, snapshot
-restore, streaming inserts, and serving-session store extensions."""
+restore, streaming inserts, and serving-session store extensions; and
+the fingerprints and key words the bin index reads straight from the
+signature pools equal the ones defined over packed key rows."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AdaptiveConfig, AdaptiveLSH
 from repro.datasets import generate_cora, generate_spotsigs
+from repro.lsh.binindex import SchemeBinIndex, key_words, table_fingerprints
 from repro.online import StreamingTopK
 from repro.serve import IndexSnapshot, ResolverSession
+from repro.structures.union_find import UnionFind
+from tests.lsh.keyref import (
+    FAMILIES,
+    _table_fingerprints,
+    build_scheme,
+    canonical,
+    dict_partition,
+    family_pools,
+    mixed_store,
+    roots_of,
+    scheme_specs,
+    table_words,
+)
 
 
 def _clusters(result):
@@ -138,3 +156,63 @@ def test_session_extension_identical_and_carried():
                 assert session.serving_stats()["bin_index"] is None
         outputs.append(got)
     assert outputs[0] == outputs[1]
+
+
+def _assert_pool_path_matches_rows(scheme, rids):
+    rows, layout = scheme.table_key_rows(rids)
+    np.testing.assert_array_equal(
+        table_fingerprints(scheme, rids), _table_fingerprints(rows, layout)
+    )
+    tables = np.repeat(np.arange(scheme.table_count), rids.size)
+    positions = np.tile(np.arange(rids.size), scheme.table_count)
+    np.testing.assert_array_equal(
+        key_words(scheme, tables, rids[positions]),
+        table_words(rows, layout, tables, positions),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 30), spec=scheme_specs)
+def test_pool_fingerprints_equal_row_fingerprints(seed, n, spec):
+    store = mixed_store(n, seed)
+    scheme = build_scheme(family_pools(store, seed), spec)
+    rids = np.random.default_rng(seed).permutation(n).astype(np.int64)
+    _assert_pool_path_matches_rows(scheme, rids)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("w,z", [(1, 1), (1, 9), (2, 4), (3, 3), (8, 2)])
+def test_pool_fingerprints_every_family_and_shape(family, w, z):
+    store = mixed_store(25, 1)
+    scheme = build_scheme(family_pools(store, 1), [(z, [(family, w, 1)])])
+    _assert_pool_path_matches_rows(scheme, np.arange(25, dtype=np.int64)[::-1])
+
+
+def test_delta_state_from_row_fingerprints_adopts():
+    """A delta state whose fingerprints were computed from packed key
+    rows (an export taken before fingerprints came from the pools)
+    still adopts and gives the dict-table partition."""
+    store = mixed_store(80, 2)
+    scheme = build_scheme(
+        family_pools(store, 2), [(6, [("minhash", 2, 0)]), (2, [("hyperplane", 3, 0)])]
+    )
+    n = len(store)
+    rids = np.random.default_rng(4).permutation(n).astype(np.int64)
+    first, rest = rids[:50], rids[50:]
+    fps = _table_fingerprints(*scheme.table_key_rows(first))
+    order = np.argsort(fps, axis=0, kind="stable")
+    state = {
+        "table_count": scheme.table_count,
+        "fps": [fps[order[:, t], t] for t in range(scheme.table_count)],
+        "rids": [first[order[:, t]] for t in range(scheme.table_count)],
+    }
+    uf = UnionFind(n)
+    for a, b in enumerate(dict_partition(scheme, [first], n)):
+        uf.union(a, b)
+    delta = SchemeBinIndex(n).h1_delta(scheme, state=state)
+    assert delta is not None
+    assert delta.indexed_records == first.size
+    assert delta.insert(rest, uf)
+    assert canonical(roots_of(uf, n)) == canonical(
+        dict_partition(scheme, [rids], n)
+    )

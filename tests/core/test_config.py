@@ -67,6 +67,34 @@ class TestSerialization:
         config = AdaptiveConfig.from_dict({"epsilon": 0.2}, epsilon=0.3)
         assert config.epsilon == 0.3
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_from_dict_loads_configs_with_signature_cache(self, cached):
+        # to_dict() output of releases that still had the packed-key
+        # cache, as stored in their index snapshots.
+        data = {
+            "budgets": [20, 40, 80],
+            "epsilon": 0.001,
+            "noise_factor": 1.0,
+            "analytic_pair_cost": 20.0,
+            "pairwise_strategy": "auto",
+            "selection": "largest",
+            "jump_policy": "line5",
+            "lookahead_samples": 32,
+            "lookahead_density": 0.6,
+            "signature_cache": cached,
+            "pair_memo": None,
+            "pair_memo_bytes": 67108864,
+            "bin_index": None,
+            "bin_index_bytes": 134217728,
+        }
+        config = AdaptiveConfig.from_dict(data)
+        assert config.budgets == (20, 40, 80)
+        assert "signature_cache" not in config.to_dict()
+        assert not hasattr(config, "signature_cache")
+        expected = dict(data)
+        del expected["signature_cache"]
+        assert config.to_dict() == expected
+
 
 class TestConfigOnlySurface:
     def test_legacy_kwargs_removed(self, tiny_spotsigs):

@@ -2,10 +2,15 @@
 
 The load-bearing claim is *bit-identity*: :func:`group_table` must
 reproduce the legacy void-argsort collision grouping — group content
-AND yield order — for every input, including adversarial fingerprint
+AND order — for every input, including adversarial fingerprint
 regimes (all fingerprints equal, low-entropy fingerprints) where the
-byte tie-break inside fingerprint runs does all the work.
+byte tie-break inside fingerprint runs does all the work; and a whole
+level grouped at once, with repeated union edges dropped, must give
+the clusters of the per-table parent-pointer forest replay.
 """
+
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,23 +18,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AdaptiveConfig
+from repro.core.result import WorkCounters
+from repro.core.transitive import TransitiveHashingFunction
 from repro.errors import ConfigurationError
+from repro.lsh import binindex
 from repro.lsh.binindex import (
     BIN_INDEX_ENV,
     H1DeltaIndex,
     SchemeBinIndex,
-    csr_to_groups,
-    fingerprint_words,
     group_table,
-    pack_key_words,
+    key_words,
     resolve_bin_index,
-    strided_key_words,
 )
 from repro.lsh.families import SignaturePool
 from repro.lsh.minhash import MinHashFamily
 from repro.lsh.scheme import HashingScheme, PoolUse, TableGroup
 from repro.structures.union_find import UnionFind
 from tests.conftest import make_shingle_store
+from tests.lsh.keyref import (
+    FAMILIES,
+    build_scheme,
+    canonical,
+    csr_to_groups,
+    dict_partition,
+    family_pools,
+    fingerprint_words,
+    legacy_edges,
+    legacy_groups_of_level,
+    mixed_store,
+    pack_key_words,
+    roots_of,
+    scheme_specs,
+    strided_key_words,
+)
 
 
 def legacy_groups(rows):
@@ -52,7 +73,8 @@ def legacy_groups(rows):
 
 
 def words_of_rows(rows):
-    def words_of(positions):
+    def words_of(tables, positions):
+        assert not tables.any()
         return pack_key_words(rows[positions])
 
     return words_of
@@ -197,30 +219,6 @@ def h1_scheme():
     return store, scheme
 
 
-def dict_partition(scheme, batches, n):
-    """The dict-table streaming reference partition."""
-    uf = UnionFind(n)
-    tables = [dict() for _ in range(scheme.table_count)]
-    for batch in batches:
-        for table, keys in zip(tables, scheme.iter_table_keys(batch)):
-            for rid_raw, key in zip(batch, keys):
-                rid = int(rid_raw)
-                prev = table.get(key)
-                if prev is not None:
-                    uf.union(rid, prev)
-                table[key] = rid
-    return roots_of(uf, n)
-
-
-def roots_of(uf, n):
-    return tuple(uf.find(i) for i in range(n))
-
-
-def canonical(roots):
-    seen = {}
-    return tuple(seen.setdefault(r, len(seen)) for r in roots)
-
-
 class TestH1DeltaIndex:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_batches=st.integers(1, 5))
@@ -234,12 +232,38 @@ class TestH1DeltaIndex:
         batches = np.array_split(rids, n_batches)
 
         owner = SchemeBinIndex(n)
-        delta = owner.h1_delta(scheme, None)
+        delta = owner.h1_delta(scheme)
         assert isinstance(delta, H1DeltaIndex)
         uf = UnionFind(n)
         for batch in batches:
             assert delta.insert(batch, uf)
         assert delta.indexed_records == n
+        assert canonical(roots_of(uf, n)) == canonical(
+            dict_partition(scheme, batches, n)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        spec=scheme_specs,
+        regime=st.sampled_from(["constant", "low_entropy"]),
+        n_batches=st.integers(1, 4),
+    )
+    def test_partition_matches_dict_tables_when_fingerprints_collide(
+        self, seed, spec, regime, n_batches
+    ):
+        n = 40
+        store = mixed_store(n, seed)
+        scheme = build_scheme(family_pools(store, seed), spec)
+        rids = np.random.default_rng(seed).permutation(n).astype(np.int64)
+        batches = np.array_split(rids, n_batches)
+        delta = SchemeBinIndex(n).h1_delta(scheme)
+        uf = UnionFind(n)
+        with mock.patch.object(
+            binindex, "table_fingerprints", FINGERPRINT_REGIMES[regime]
+        ):
+            for batch in batches:
+                assert delta.insert(batch, uf)
         assert canonical(roots_of(uf, n)) == canonical(
             dict_partition(scheme, batches, n)
         )
@@ -251,13 +275,13 @@ class TestH1DeltaIndex:
         first, rest = rids[: n // 2], rids[n // 2 :]
 
         owner = SchemeBinIndex(n)
-        delta = owner.h1_delta(scheme, None)
+        delta = owner.h1_delta(scheme)
         uf = UnionFind(n)
         assert delta.insert(first, uf)
         state = delta.export_state()
 
         successor_owner = SchemeBinIndex(n)
-        successor = successor_owner.h1_delta(scheme, None, state=state)
+        successor = successor_owner.h1_delta(scheme, state=state)
         assert successor is not None
         assert successor.indexed_records == first.size
         assert successor.insert(rest, uf)
@@ -269,22 +293,22 @@ class TestH1DeltaIndex:
     def test_adopt_rejects_layout_mismatch(self, h1_scheme):
         store, scheme = h1_scheme
         owner = SchemeBinIndex(len(store))
-        delta = owner.h1_delta(scheme, None)
+        delta = owner.h1_delta(scheme)
         uf = UnionFind(len(store))
         assert delta.insert(np.arange(4, dtype=np.int64), uf)
         state = delta.export_state()
         state["table_count"] = scheme.table_count + 1
-        assert owner.h1_delta(scheme, None, state=state) is None
+        assert owner.h1_delta(scheme, state=state) is None
 
     def test_adopt_rejects_over_budget(self, h1_scheme):
         store, scheme = h1_scheme
         owner = SchemeBinIndex(len(store))
-        delta = owner.h1_delta(scheme, None)
+        delta = owner.h1_delta(scheme)
         uf = UnionFind(len(store))
         assert delta.insert(np.arange(8, dtype=np.int64), uf)
         state = delta.export_state()
         broke = SchemeBinIndex(len(store), max_bytes=0)
-        assert broke.h1_delta(scheme, None, state=state) is None
+        assert broke.h1_delta(scheme, state=state) is None
         assert broke.degraded == 1
 
     def test_insert_over_budget_returns_false_without_mutation(
@@ -295,13 +319,28 @@ class TestH1DeltaIndex:
         owner = SchemeBinIndex(
             len(store), max_bytes=len(store) * (scheme.table_count * 8 + 1)
         )
-        delta = owner.h1_delta(scheme, None)
+        delta = owner.h1_delta(scheme)
         uf = UnionFind(len(store))
         before = roots_of(uf, len(store))
         assert delta.insert(np.arange(10, dtype=np.int64), uf) is False
         assert owner.degraded == 1
         assert delta.indexed_records == 0
         assert roots_of(uf, len(store)) == before
+
+
+def level_groups(bins, scheme, rids):
+    """One level-at-once grouping of ``rids``, exploded to a list."""
+    fps = bins.fingerprints(scheme, rids)
+    return csr_to_groups(
+        *group_table(
+            fps, lambda t, p: key_words(scheme, t, rids[p])
+        )
+    )
+
+
+def assert_same_edges(got, expected):
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
 
 
 class TestBudgetDegradation:
@@ -311,32 +350,23 @@ class TestBudgetDegradation:
 
         cached = SchemeBinIndex(len(store))
         broke = SchemeBinIndex(len(store), max_bytes=0)
-        got_cached = [
-            csr_to_groups(*csr)
-            for csr in cached.level(1).iter_table_groups(scheme, rids)
-        ]
-        got_broke = [
-            csr_to_groups(*csr)
-            for csr in broke.level(1).iter_table_groups(scheme, rids)
-        ]
-        legacy = list(scheme.iter_table_collisions(rids))
+        legacy = legacy_edges(scheme, rids)
+        assert_same_edges(cached.level(1).edges(scheme, rids), legacy)
+        assert_same_edges(broke.level(1).edges(scheme, rids), legacy)
         assert broke.degraded == 1
         assert broke.indexed_bytes == 0
         assert cached.indexed_bytes > 0
-        for a, b, c in zip(got_cached, got_broke, legacy):
-            assert_same_groups(a, c)
-            assert_same_groups(b, c)
 
     def test_cached_fingerprints_hit_on_reuse(self, h1_scheme):
         store, scheme = h1_scheme
         rids = np.arange(len(store), dtype=np.int64)
         owner = SchemeBinIndex(len(store))
-        for _ in owner.level(1).iter_table_groups(scheme, rids):
-            pass
+        owner.level(1).edges(scheme, rids)
         assert owner.fp_hits == 0
-        for _ in owner.level(1).iter_table_groups(scheme, rids):
-            pass
+        owner.level(1).edges(scheme, rids)
         assert owner.fp_hits == len(store)
+        assert owner.tables_grouped == 2 * scheme.table_count
+        assert owner.rows_grouped == 2 * scheme.table_count * len(store)
 
     def test_level_groups_match_legacy_on_real_scheme(self, h1_scheme):
         store, scheme = h1_scheme
@@ -345,11 +375,101 @@ class TestBudgetDegradation:
             rng.choice(len(store), size=len(store) // 2, replace=False)
         ).astype(np.int64)
         owner = SchemeBinIndex(len(store))
-        got = [
-            csr_to_groups(*csr)
-            for csr in owner.level(1).iter_table_groups(scheme, rids)
+        assert_same_groups(
+            level_groups(owner.level(1), scheme, rids),
+            legacy_groups_of_level(scheme, rids),
+        )
+
+
+honest_fingerprints = binindex.table_fingerprints
+
+
+def constant_fingerprints(scheme, rids):
+    return np.zeros((rids.size, scheme.table_count), dtype=np.uint64)
+
+
+def low_entropy_fingerprints(scheme, rids):
+    return honest_fingerprints(scheme, rids) % np.uint64(3)
+
+
+FINGERPRINT_REGIMES = {
+    "honest": honest_fingerprints,
+    "constant": constant_fingerprints,
+    "low_entropy": low_entropy_fingerprints,
+}
+
+
+def apply_both(scheme, n, subsets, regime):
+    """Clusters and counters of each subset, through the reference
+    forest path and through one level-at-once bin index (whose cached
+    fingerprints the later subsets reuse)."""
+    fn = TransitiveHashingFunction(1, SimpleNamespace(to_scheme=lambda: scheme))
+    expected = []
+    for rids in subsets:
+        counters = WorkCounters()
+        expected.append((fn.apply(rids, counters), counters.table_inserts))
+    fn.bin_index = SchemeBinIndex(n).level(1)
+    got = []
+    with mock.patch.object(
+        binindex, "table_fingerprints", FINGERPRINT_REGIMES[regime]
+    ):
+        for rids in subsets:
+            counters = WorkCounters()
+            got.append((fn.apply(rids, counters), counters.table_inserts))
+    return got, expected
+
+
+class TestLevelEquivalence:
+    """Level-at-once grouping plus distinct edges against the reference
+    ``iter_table_collisions`` + ``ParentPointerForest`` path: cluster
+    content, leaf order and cluster order must all match."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 40),
+        spec=scheme_specs,
+        regime=st.sampled_from(sorted(FINGERPRINT_REGIMES)),
+        data=st.data(),
+    )
+    def test_clusters_match_forest_reference(
+        self, seed, n, spec, regime, data
+    ):
+        store = mixed_store(n, seed)
+        scheme = build_scheme(family_pools(store, seed), spec)
+        subsets = [
+            np.array(
+                data.draw(
+                    st.lists(
+                        st.integers(0, n - 1), min_size=1, max_size=n, unique=True
+                    )
+                ),
+                dtype=np.int64,
+            )
+            for _ in range(2)
         ]
-        legacy = list(scheme.iter_table_collisions(rids))
-        assert len(got) == scheme.table_count
-        for a, b in zip(got, legacy):
-            assert_same_groups(a, b)
+        got, expected = apply_both(scheme, n, subsets, regime)
+        for (clusters, inserts), (ref_clusters, ref_inserts) in zip(
+            got, expected
+        ):
+            assert inserts == ref_inserts
+            assert len(clusters) == len(ref_clusters)
+            for a, b in zip(clusters, ref_clusters):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_family_or_and_scheme(self, family):
+        store = mixed_store(60, 3)
+        pools = family_pools(store, 3)
+        other = "minhash" if family == "hyperplane" else "hyperplane"
+        scheme = build_scheme(
+            pools, [(5, [(family, 2, 0)]), (3, [(family, 1, 1), (other, 2, 0)])]
+        )
+        rids = np.random.default_rng(5).permutation(60).astype(np.int64)
+        for regime in FINGERPRINT_REGIMES:
+            got, expected = apply_both(scheme, 60, [rids, rids[:30]], regime)
+            for (clusters, _), (ref_clusters, _) in zip(got, expected):
+                assert [c.tolist() for c in clusters] == [
+                    c.tolist() for c in ref_clusters
+                ]

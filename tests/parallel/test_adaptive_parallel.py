@@ -1,5 +1,5 @@
-"""End-to-end determinism: AdaptiveLSH with workers and/or the
-signature key cache returns exactly the serial result."""
+"""End-to-end determinism: AdaptiveLSH with workers and/or the bin
+index's fingerprint cache returns exactly the serial result."""
 
 import numpy as np
 
@@ -39,18 +39,20 @@ def test_n_jobs_run_is_bit_identical():
     assert serial.counters.table_inserts == parallel.counters.table_inserts
 
 
-def test_key_cache_hits_on_rerun_and_preserves_output():
+def test_fingerprint_cache_hits_on_rerun_and_preserves_output():
     store, rule = _setup()
     method = AdaptiveLSH(store, rule, config=AdaptiveConfig(seed=2, cost_model="analytic"))
     first = method.run(5)
-    assert first.info["signature_cache"]["misses"] > 0
+    assert first.info["bin_index"]["fp_misses"] > 0
+    assert first.info["bin_index"]["fp_hits"] == 0
     second = method.run(5)
-    assert second.info["signature_cache"]["hits"] > 0
+    assert second.info["bin_index"]["fp_hits"] > 0
     assert _clusters(first) == _clusters(second)
 
-    uncached = AdaptiveLSH(store, rule, config=AdaptiveConfig(seed=2, cost_model="analytic", signature_cache=False)).run(5)
-    assert "signature_cache" not in uncached.info
-    assert _clusters(first) == _clusters(uncached)
+    unindexed = AdaptiveLSH(store, rule, config=AdaptiveConfig(seed=2, cost_model="analytic", bin_index=False)).run(5)
+    assert "bin_index" not in unindexed.info
+    assert "signature_cache" not in unindexed.info
+    assert _clusters(first) == _clusters(unindexed)
 
 
 def test_env_knob_reaches_adaptive(monkeypatch):
@@ -77,5 +79,5 @@ def test_incremental_refine_reuses_cache():
     refined = method.refine(
         [(c.rids, int(np.int64(1))) for c in result.clusters], 3
     )
-    assert refined.info["signature_cache"]["hits"] > 0
+    assert refined.info["bin_index"]["fp_hits"] > 0
     assert refined.output_size > 0
