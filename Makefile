@@ -50,11 +50,8 @@ bench:
 # restore skips prepare() and stays bit-identical;
 # BENCH_memo.json: pairs_compared with the pair-verdict memo off vs on
 # over a streaming insert+query scenario (identical outputs, >=30%
-# fewer comparisons); BENCH_topk.json: end-to-end top-k wall time
-# plus deterministic work counters on fixed-seed synthetics; and
-# BENCH_kernels.json: packed-vs-reference kernel micro-benchmarks that
-# gate bit-identity (signatures, distances, verdicts, clusters) and
-# archive — never gate — the wall-clock speedups.
+# fewer comparisons); and BENCH_topk.json: end-to-end top-k wall time
+# plus deterministic work counters on fixed-seed synthetics.
 bench-smoke:
 	pytest benchmarks/bench_fig05_probability.py benchmarks/bench_fig08_cora.py \
 		--benchmark-only -q --benchmark-json=bench-smoke.json
@@ -63,7 +60,6 @@ bench-smoke:
 	python benchmarks/bench_memo.py --out BENCH_memo.json
 	python benchmarks/bench_binning.py --out BENCH_binning.json
 	python benchmarks/bench_topk_macro.py --out BENCH_topk.json
-	python benchmarks/bench_kernels.py --out BENCH_kernels.json
 
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only

@@ -57,7 +57,6 @@ DOCUMENTED_INFO_KEYS = frozenset(
         "serving",
         "memoized_pairs",
         "store_backing",
-        "kernels",
         "bin_index",
     }
 )

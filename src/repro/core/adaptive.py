@@ -27,7 +27,6 @@ import numpy as np
 
 from ..distance.rules import MatchRule
 from ..errors import ConfigurationError, ResolvableExceededError, SnapshotError
-from ..kernels import resolve_kernels, use_kernels
 from ..lsh.binindex import SchemeBinIndex, resolve_bin_index
 from ..lsh.design import DesignContext, SchemeDesign, design_sequence
 from ..lsh.families import SignaturePool
@@ -81,9 +80,7 @@ class AdaptiveLSH:
     ``config.n_jobs`` is the worker-process count for signature batches
     and blocked pairwise evaluation; ``None`` defers to the
     ``REPRO_N_JOBS`` environment variable (default serial).
-    ``config.kernels`` selects the signature/intersection kernel
-    backend the same way (``REPRO_KERNELS``, default ``"numpy"``).
-    Results are bit-identical for every value of either knob.  Call
+    Results are bit-identical for every worker count.  Call
     :meth:`close` (or use the instance as a context manager) to shut
     the worker pool down.
 
@@ -131,9 +128,6 @@ class AdaptiveLSH:
         self._cost_model_spec = cfg.cost_model
         #: Resolved worker count; 1 means everything runs in-process.
         self.n_jobs = resolve_n_jobs(cfg.n_jobs)
-        #: Resolved kernel backend name, pinned at construction so the
-        #: whole run (families, verification, workers) uses one backend.
-        self.kernels = resolve_kernels(cfg.kernels)
         self._exec_pool: ExecutionPool | None = (
             ExecutionPool(store, self.n_jobs) if self.n_jobs > 1 else None
         )
@@ -150,7 +144,6 @@ class AdaptiveLSH:
             strategy=cfg.pairwise_strategy,
             pool=self._exec_pool,
             memo=self._pair_memo,
-            kernels=self.kernels,
         )
         #: Persistent fingerprint bin index (CSR collision groups and
         #: streaming delta candidates); ``None`` when disabled.
@@ -204,18 +197,14 @@ class AdaptiveLSH:
             self._prepare()
 
     def _prepare(self) -> None:
-        # Families pin their kernel backend at construction, so design
-        # (which builds them) and calibration run under this method's
-        # resolved selection.
-        with use_kernels(self.kernels):
-            self._ctx, self._designs = design_sequence(
-                self.store,
-                self.rule,
-                self.budgets,
-                epsilon=self.epsilon,
-                seed=self._rng,
-            )
-            self.cost_model = self._resolve_cost_model()
+        self._ctx, self._designs = design_sequence(
+            self.store,
+            self.rule,
+            self.budgets,
+            epsilon=self.epsilon,
+            seed=self._rng,
+        )
+        self.cost_model = self._resolve_cost_model()
         self._install_prepared_state()
 
     def _resolve_cost_model(self) -> CostModel:
@@ -415,7 +404,6 @@ class AdaptiveLSH:
 
     def _add_execution_info(self, info: dict[str, Any]) -> None:
         """Attach pool/cache execution stats to a result info dict."""
-        info["kernels"] = self.kernels
         if self._exec_pool is not None:
             info["parallel"] = self._exec_pool.stats()
         if self._pair_memo is not None:
@@ -544,17 +532,15 @@ class AdaptiveLSH:
             verdicts = memo.lookup(keys)
             unknown = np.nonzero(verdicts == UNKNOWN)[0]
             if unknown.size:
-                with use_kernels(self.kernels):
-                    fresh = self.rule.match_pairs(
-                        self.store, sampled_a[unknown], sampled_b[unknown]
-                    )
+                fresh = self.rule.match_pairs(
+                    self.store, sampled_a[unknown], sampled_b[unknown]
+                )
                 memo.record(keys[unknown], fresh)
                 verdicts[unknown] = np.where(fresh, MATCH, NO_MATCH)
             hits = int(np.count_nonzero(verdicts == MATCH))
             counters.pairs_compared += int(unknown.size)
             return hits / total
-        with use_kernels(self.kernels):
-            matched = self.rule.match_pairs(self.store, sampled_a, sampled_b)
+        matched = self.rule.match_pairs(self.store, sampled_a, sampled_b)
         counters.pairs_compared += total
         return int(np.count_nonzero(matched)) / total
 

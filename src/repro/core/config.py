@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from ..errors import ConfigurationError
-from ..kernels import KERNEL_NAMES
 from ..lsh.binindex import DEFAULT_MAX_BYTES as DEFAULT_BIN_INDEX_BYTES
 from ..lsh.design import DEFAULT_EPSILON
 from ..rngutil import SeedLike
@@ -27,9 +26,10 @@ SELECTIONS = ("largest", "largest-unoptimized", "smallest", "random")
 #: Jump policies for the Line-5 hashing-vs-pairwise decision.
 JUMP_POLICIES = ("line5", "lookahead")
 
-#: Keys :meth:`AdaptiveConfig.to_dict` once wrote for knobs that no
-#: longer exist; ``signature_cache`` switched the packed-key cache.
-RETIRED_KEYS = frozenset({"signature_cache"})
+#: Keys of knobs that no longer exist; :meth:`AdaptiveConfig.from_dict`
+#: drops them.  ``signature_cache`` switched the packed-key cache (which
+#: ``to_dict`` wrote), ``kernels`` selected the kernel backend.
+RETIRED_KEYS = frozenset({"signature_cache", "kernels"})
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,6 @@ class AdaptiveConfig:
     lookahead_samples: int = 32
     lookahead_density: float = 0.6
     n_jobs: int | None = None
-    #: Kernel backend for signatures and set intersections (``None``
-    #: defers to the ambient :func:`repro.kernels.use_kernels` selection
-    #: and the ``REPRO_KERNELS`` environment variable).  Backends are
-    #: bit-identical, so this is a performance knob exactly like
-    #: ``n_jobs`` and is likewise never serialized.
-    kernels: str | None = None
     #: Cross-round pair-verdict memoization (``None`` defers to the
     #: ``REPRO_PAIR_MEMO`` environment variable, default enabled).
     pair_memo: bool | None = None
@@ -92,11 +86,6 @@ class AdaptiveConfig:
                 f"cost_model must be 'calibrate', 'analytic', or a CostModel, "
                 f"got {self.cost_model!r}"
             )
-        if self.kernels is not None and self.kernels not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"kernels must be one of {KERNEL_NAMES} or None, "
-                f"got {self.kernels!r}"
-            )
         object.__setattr__(self, "lookahead_samples", int(self.lookahead_samples))
         object.__setattr__(self, "lookahead_density", float(self.lookahead_density))
         object.__setattr__(self, "pair_memo_bytes", int(self.pair_memo_bytes))
@@ -108,8 +97,8 @@ class AdaptiveConfig:
         ``seed`` and a concrete :class:`CostModel` are excluded — index
         snapshots carry RNG state and the cost model separately, in
         exact form; this dict covers everything rebuildable from plain
-        scalars.  ``n_jobs`` and ``kernels`` are excluded too: they are
-        machine-local performance knobs that never change results.
+        scalars.  ``n_jobs`` is excluded too: it is a machine-local
+        performance knob that never changes results.
         """
         return {
             "budgets": list(self.budgets) if self.budgets is not None else None,

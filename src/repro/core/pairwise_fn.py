@@ -38,7 +38,6 @@ import numpy as np
 
 from ..distance.rules import MatchRule
 from ..errors import ConfigurationError
-from ..kernels import resolve_kernels, use_kernels
 from ..obs.clock import monotonic
 from ..parallel import worker as parallel_worker
 from ..parallel.pool import ExecutionPool, resolve_n_jobs
@@ -150,7 +149,6 @@ class PairwiseComputation:
         n_jobs: int | None = None,
         pool: ExecutionPool | None = None,
         memo: PairVerdictMemo | None = None,
-        kernels: str | None = None,
     ) -> None:
         if strategy not in ("auto", "rowwise", "blocked"):
             raise ConfigurationError(
@@ -159,11 +157,6 @@ class PairwiseComputation:
         self.store = store
         self.rule = rule
         self.strategy = strategy
-        #: Resolved kernel backend name, pinned at construction and
-        #: installed as the ambient selection for every :meth:`apply`
-        #: (in-process and worker evaluation alike).  Backends are
-        #: bit-identical, so this only affects speed.
-        self.kernels = resolve_kernels(kernels)
         #: Optional :class:`~repro.obs.observer.RunObserver`; when set
         #: and enabled, :meth:`apply` feeds pair counters and per-call
         #: timing histograms into its metrics registry.
@@ -221,11 +214,10 @@ class PairwiseComputation:
         if timed:
             compared_before = counters.pairs_compared if counters is not None else 0
             started = monotonic()
-        with use_kernels(self.kernels):
-            if strategy == "rowwise":
-                clusters = self._apply_rowwise(rids, counters)
-            else:
-                clusters = self._apply_blocked(rids, counters)
+        if strategy == "rowwise":
+            clusters = self._apply_rowwise(rids, counters)
+        else:
+            clusters = self._apply_blocked(rids, counters)
         if timed:
             assert obs is not None
             obs.histogram(f"pairwise.{strategy}_seconds").observe(
@@ -312,9 +304,7 @@ class PairwiseComputation:
         if memo is not None:
             return self._apply_blocked_memo(rids, memo, counters)
         if self.pool is not None:
-            bundles = self.pool.pairwise_block_edges(
-                self.rule, rids, BLOCK, kernels=self.kernels
-            )
+            bundles = self.pool.pairwise_block_edges(self.rule, rids, BLOCK)
             if bundles is not None:
                 return self._replay_blocked(rids, bundles, counters)
         m = int(rids.size)
@@ -396,9 +386,7 @@ class PairwiseComputation:
             | None
         ) = None
         if self.pool is not None:
-            results = self.pool.pairwise_job_edges(
-                self.rule, jobs, m, BLOCK, kernels=self.kernels
-            )
+            results = self.pool.pairwise_job_edges(self.rule, jobs, m, BLOCK)
         if results is None:
             results = [
                 parallel_worker.evaluate_block_jobs(

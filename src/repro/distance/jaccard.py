@@ -10,8 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..kernels import get_kernels
-from ..kernels.reference import jaccard_distance
+from ..kernels import KERNELS, jaccard_distance, packed_field
 from ..records import FieldKind, RecordStore
 from ..rngutil import SeedLike
 from ..types import ArrayLike, FloatArray
@@ -46,32 +45,30 @@ class JaccardDistance(FieldDistance):
         return jaccard_distance(sets[r1], sets[r2])
 
     #: Row-chunk height for ``pairwise``: bounds every intermediate of
-    #: the backend's matrix product to O(chunk · m) while the output is
+    #: the kernel's matrix product to O(chunk · m) while the output is
     #: written in place.  Intersection counts are exact integers, so
     #: the chunked floats equal the one-shot ones bit for bit.
     _PAIRWISE_CHUNK = 256
 
     def pairwise(self, store: RecordStore, rids: ArrayLike) -> FloatArray:
-        backend = get_kernels()
-        packed = backend.pack_sets(store, self.field)
-        return backend.jaccard_pairwise(
-            packed, np.asarray(rids, dtype=np.int64), self._PAIRWISE_CHUNK
+        return KERNELS.jaccard_pairwise(
+            packed_field(store, self.field),
+            np.asarray(rids, dtype=np.int64),
+            self._PAIRWISE_CHUNK,
         )
 
     def one_to_many(self, store: RecordStore, rid: int, rids: ArrayLike) -> FloatArray:
-        backend = get_kernels()
-        packed = backend.pack_sets(store, self.field)
-        return backend.jaccard_one_to_many(
-            packed, int(rid), np.asarray(rids, dtype=np.int64)
+        return KERNELS.jaccard_one_to_many(
+            packed_field(store, self.field),
+            int(rid),
+            np.asarray(rids, dtype=np.int64),
         )
 
     def pairs(
         self, store: RecordStore, rids_a: ArrayLike, rids_b: ArrayLike
     ) -> FloatArray:
-        backend = get_kernels()
-        packed = backend.pack_sets(store, self.field)
-        return backend.jaccard_block(
-            packed,
+        return KERNELS.jaccard_block(
+            packed_field(store, self.field),
             np.asarray(rids_a, dtype=np.int64),
             np.asarray(rids_b, dtype=np.int64),
         )
@@ -79,10 +76,8 @@ class JaccardDistance(FieldDistance):
     def block(
         self, store: RecordStore, rids_a: ArrayLike, rids_b: ArrayLike
     ) -> FloatArray:
-        backend = get_kernels()
-        packed = backend.pack_sets(store, self.field)
-        return backend.jaccard_block_matrix(
-            packed,
+        return KERNELS.jaccard_block_matrix(
+            packed_field(store, self.field),
             np.asarray(rids_a, dtype=np.int64),
             np.asarray(rids_b, dtype=np.int64),
         )

@@ -1,25 +1,17 @@
-"""Selectable kernel backends for the two hot operations.
+"""The two hot kernels: minhash signature blocks and Jaccard verification.
 
-See :mod:`repro.kernels.base` for the registry and the
-explicit → :func:`use_kernels` context → ``REPRO_KERNELS`` environment
-resolution funnel, :mod:`repro.kernels.reference` for the pure-NumPy
-oracle, and :mod:`repro.kernels.packed` for the bit-packed backend.
+See :mod:`repro.kernels.base` for the kernels and their shared
+semantics, and :mod:`repro.kernels.packed` for the bit-packed field
+layout they evaluate on.
 """
 
-from .base import (
-    KERNEL_NAMES,
-    KERNELS_ENV,
-    KernelBackend,
-    get_kernels,
-    resolve_kernels,
-    use_kernels,
-)
+from .base import EMPTY_SENTINEL, KERNELS, KernelBackend, jaccard_distance
+from .packed import packed_field
 
 __all__ = [
-    "KERNEL_NAMES",
-    "KERNELS_ENV",
+    "EMPTY_SENTINEL",
+    "KERNELS",
     "KernelBackend",
-    "get_kernels",
-    "resolve_kernels",
-    "use_kernels",
+    "jaccard_distance",
+    "packed_field",
 ]

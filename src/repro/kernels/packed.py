@@ -1,46 +1,35 @@
-"""The ``packed`` backend: bit-packed evaluation of both hot kernels.
+"""The bit-packed layout of one shingle field, built on first use.
 
-Packing (once per store × field, cached on the store):
+Each piece is derived the first time a kernel needs it and then kept on
+the :class:`PackedField`, which is cached on the store per field
+(:func:`packed_field`):
 
 * the field's shingle ids are scrambled through splitmix64 and
   compacted to dense int32 *codes* into a sorted ``vocab`` of distinct
   scrambled ids (splitmix64 is a bijection, so intersections over codes
-  equal intersections over raw ids);
+  equal intersections over raw ids) — needed by both kernels;
 * a second CSR layout splices the scrambled ``EMPTY_SENTINEL`` code
-  into empty rows — the minhash input convention;
+  into empty rows — the minhash input convention, built by the first
+  signature block;
 * for small vocabularies every row additionally becomes a dense uint64
-  bitset (``ceil(vocab / 64)`` words), enabling ``bitwise_and`` +
-  popcount intersection counts; large vocabularies stay in sorted-code
-  CSR form and intersect by vectorized merge.
+  bitset (``ceil(vocab / 64)`` words) for ``bitwise_and`` + popcount
+  intersection counts — built by the first Jaccard shape that reads
+  it, so hashing-only paths never allocate it.  Large vocabularies
+  stay in sorted-id form and intersect by vectorized merge.
 
-Signature blocks then gather from cached per-chunk hash tables
-(``(vocab * a) >> 32`` as uint32) and fold rows with in-place
-``np.minimum`` — no per-row Python assembly and half the memory
-traffic of the 64-bit oracle.  Right-shift is order-preserving, so
-``min(table[row])`` equals the oracle's ``min(hashes) >> 32`` bit for
-bit; every other operation here is an exact integer count feeding the
-shared float epilogue, which is what makes the whole backend
-bit-identical to ``numpy`` (enforced by ``tests/kernels/`` and
-``benchmarks/bench_kernels.py``).
+Packed layouts are derived data: worker processes rebuild (or inherit
+copy-on-write) the store and re-pack deterministically, so nothing here
+is ever pickled or snapshotted.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..types import AnyArray, FloatArray, IntArray
-from .base import KernelBackend, _finish_distances
-from .reference import (
-    _BATCH,
-    _CHUNK,
-    EMPTY_SENTINEL,
-    _csr_block_matrix,
-    _csr_pairwise,
-    _splitmix64,
-)
+from ..types import AnyArray, IntArray
+from .base import EMPTY_SENTINEL, _splitmix64
 
 if TYPE_CHECKING:
     from ..records import RecordStore
@@ -49,362 +38,89 @@ if TYPE_CHECKING:
 #: per-row word count would dwarf typical set sizes and merge-based
 #: intersection wins.
 _BITSET_VOCAB_LIMIT = 4096
-#: Vocabularies up to this size get cached per-chunk hash tables for
-#: signatures (table bytes = vocab × chunk × 4, so 8 MiB at the
-#: limit).  Above it, building a table costs about as much as hashing
-#: the sets directly — vocab approaches total set volume, so the
-#: multiply count is the same and the gathers are pure overhead — and
-#: the broadcast multiply path is used instead (measured: parity with
-#: the reference, while forced tables at vocab ≈ 93k were 0.5-1.3×).
-_TABLE_VOCAB_LIMIT = 16384
-#: Total bytes of cached hash tables per packed field; the cache is
-#: cleared wholesale when an insert would exceed this, and a single
-#: table bigger than the whole budget is returned uncached (the
-#: signature loop fetches each table only once per call).
-_TABLE_CACHE_BYTES = 64 << 20
-#: Pair-list intersections run over chunks of this many pairs, bounding
-#: the transient AND/popcount arrays.
-_PAIR_CHUNK = 1 << 16
-#: ``jaccard_pairwise`` / ``jaccard_block_matrix`` use bitset popcount
-#: only up to this many result cells; beyond it the CSR sparse product
-#: reads less memory per pair and wins (measured crossover; counts are
-#: exact integers either way, so the choice never changes results).
-_MATRIX_POPCOUNT_CELLS = 4096
-
-#: ``np.bitwise_count`` landed in NumPy 2.0; older installs fall back
-#: to an 8-bit lookup table over the bytes of each word.  Module-level
-#: so tests can force the LUT path.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-_POP_LUT = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
-
-
-def _popcount_rows(words: AnyArray) -> IntArray:
-    """Per-row popcount sum of an ``(..., n_words)`` uint64 array."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    # Byte order is irrelevant: popcount sums over all bytes of the row.
-    as_bytes = words.view(np.uint8)
-    return _POP_LUT[as_bytes].sum(axis=-1, dtype=np.int64)
-
-
-def _high32(hashed: AnyArray, axis: int) -> AnyArray:
-    """``min`` of the high 32 bits of uint64 hashes along ``axis``.
-
-    Equals ``(hashed.min(axis) >> 32).astype(uint32)`` — right-shift is
-    monotone, so the minimum commutes with truncation — but on
-    little-endian hosts the uint32 view reads half the bytes.
-    """
-    if sys.byteorder == "little":
-        high = hashed.view(np.uint32)[..., 1::2]
-        return np.ascontiguousarray(high.min(axis=axis))
-    return (hashed.min(axis=axis) >> np.uint64(32)).astype(np.uint32)
 
 
 class PackedField:
     """Packed representation of one shingle field (see module docs)."""
 
-    __slots__ = (
-        "store",
-        "field",
-        "n",
-        "vocab",
-        "sizes",
-        "codes_mh",
-        "offsets_mh",
-        "sizes_mh",
-        "bitset",
-        "words",
-        "_tables",
-        "_table_bytes",
-    )
+    __slots__ = ("store", "field", "sizes", "_vocab", "_codes", "_minhash", "_bitset")
 
     def __init__(self, store: RecordStore, field: str) -> None:
         self.store = store
         self.field = field
-        column = store.shingle_sets(field)
-        sizes = np.ascontiguousarray(column.sizes())
-        self.n = int(sizes.size)
-        self.sizes = sizes
-        mixed = _splitmix64(column.flat.astype(np.uint64))
-        sentinel = _splitmix64(np.array([EMPTY_SENTINEL], dtype=np.uint64))
-        vocab, inv = np.unique(
-            np.concatenate([mixed, sentinel]), return_inverse=True
+        self.sizes: IntArray = np.ascontiguousarray(
+            store.shingle_sets(field).sizes()
         )
-        self.vocab = vocab
-        codes = inv[:-1].astype(np.int32)
-        sentinel_code = np.int32(inv[-1])
-        rebased = column.rebased_offsets()
-        empty = sizes == 0
-        if empty.any():
-            # Minhash layout: splice the sentinel code into empty rows,
-            # so two empty sets always share a minimum.
-            self.codes_mh = np.insert(codes, rebased[:-1][empty], sentinel_code)
-            self.sizes_mh = np.where(empty, 1, sizes)
-            offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self.sizes_mh, out=offsets[1:])
-            self.offsets_mh = offsets
-        else:
-            self.codes_mh = codes
-            self.sizes_mh = sizes
-            self.offsets_mh = rebased
-        if vocab.size <= _BITSET_VOCAB_LIMIT:
-            words = (int(vocab.size) + 63) // 64
-            bitset = np.zeros((self.n, words), dtype=np.uint64)
+        self._vocab: AnyArray | None = None
+        self._codes: IntArray | None = None
+        self._minhash: tuple[IntArray, IntArray, IntArray] | None = None
+        self._bitset: AnyArray | None = None
+
+    def _encoded(self) -> tuple[AnyArray, IntArray]:
+        """``(vocab, codes)``: the sorted distinct scrambled ids, the
+        sentinel's included, and every shingle's code into them,
+        row-concatenated, with the sentinel's code appended last."""
+        if self._vocab is None or self._codes is None:
+            column = self.store.shingle_sets(self.field)
+            mixed = _splitmix64(column.flat.astype(np.uint64))
+            sentinel = _splitmix64(np.array([EMPTY_SENTINEL], dtype=np.uint64))
+            self._vocab, inv = np.unique(
+                np.concatenate([mixed, sentinel]), return_inverse=True
+            )
+            self._codes = inv.astype(np.int32)
+        return self._vocab, self._codes
+
+    @property
+    def vocab(self) -> AnyArray:
+        """Sorted distinct scrambled ids, the sentinel's included."""
+        return self._encoded()[0]
+
+    def minhash_rows(self) -> tuple[IntArray, IntArray, IntArray]:
+        """``(codes, offsets, sizes)`` of the minhash input rows: every
+        record's codes, with the sentinel's code spliced into empty
+        rows so two empty sets always share a minimum."""
+        if self._minhash is None:
+            all_codes = self._encoded()[1]
+            codes = all_codes[:-1]
+            sizes = self.sizes
+            offsets = self.store.shingle_sets(self.field).rebased_offsets()
+            empty = sizes == 0
+            if empty.any():
+                codes = np.insert(codes, offsets[:-1][empty], all_codes[-1])
+                sizes = np.where(empty, 1, sizes)
+                offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+                np.cumsum(sizes, out=offsets[1:])
+            self._minhash = (codes, offsets, sizes)
+        return self._minhash
+
+    @property
+    def bitset(self) -> AnyArray | None:
+        """``(n, words)`` uint64 membership rows for small vocabularies,
+        built on first read; ``None`` when the vocabulary is too large."""
+        if self._bitset is None and self.vocab.size <= _BITSET_VOCAB_LIMIT:
+            words = (int(self.vocab.size) + 63) // 64
+            bitset = np.zeros((self.sizes.size, words), dtype=np.uint64)
+            codes = self._encoded()[1][:-1]
             if codes.size:
                 # True rows only — empty rows stay all-zero, so their
                 # intersection counts are genuinely zero.
-                rows = np.repeat(np.arange(self.n, dtype=np.int64), sizes)
+                rows = np.repeat(
+                    np.arange(self.sizes.size, dtype=np.int64), self.sizes
+                )
                 np.bitwise_or.at(
                     bitset,
                     (rows, codes >> 6),
                     np.uint64(1) << (codes & 63).astype(np.uint64),
                 )
-            self.bitset: AnyArray | None = bitset
-            self.words = words
-        else:
-            self.bitset = None
-            self.words = 0
-        self._tables: dict[tuple[int, int, bytes], AnyArray] = {}
-        self._table_bytes = 0
-
-    def chunk_table(self, lo: int, hi: int, a: AnyArray) -> AnyArray:
-        """Cached ``(vocab, hi - lo)`` uint32 table of high hash halves.
-
-        Keyed on the multiplier bytes themselves (families differ by
-        seed), so a stale entry can never be returned.  Tables are
-        deterministic, which is why re-deriving them per worker process
-        is correctness-free.
-        """
-        key = (lo, hi, a.tobytes())
-        table = self._tables.get(key)
-        if table is None:
-            with np.errstate(over="ignore"):
-                full = self.vocab[:, None] * a[None, :]
-            table = (full >> np.uint64(32)).astype(np.uint32)
-            if table.nbytes > _TABLE_CACHE_BYTES:
-                # Too large to ever cache; hand it back transient.  The
-                # signature loop is chunk-outer, so it still builds each
-                # table only once per call.
-                return table
-            if self._table_bytes + table.nbytes > _TABLE_CACHE_BYTES:
-                self._tables.clear()
-                self._table_bytes = 0
-            self._tables[key] = table
-            self._table_bytes += table.nbytes
-        return table
+            self._bitset = bitset
+        return self._bitset
 
 
-class PackedKernels(KernelBackend):
-    """Vectorized integer-op backend over :class:`PackedField`."""
-
-    name = "packed"
-
-    def _pack(self, store: RecordStore, field: str) -> PackedField:
-        return PackedField(store, field)
-
-    # ------------------------------------------------------------------
-    # minhash
-    # ------------------------------------------------------------------
-    def minhash_block(
-        self,
-        packed: PackedField,
-        rids: IntArray,
-        multipliers: AnyArray,
-        start: int,
-        stop: int,
-        bits: int | None,
-    ) -> AnyArray:
-        rids = np.asarray(rids, dtype=np.int64)
-        m = int(rids.size)
-        out = np.empty((m, stop - start), dtype=np.uint32)
-        if m == 0:
-            return out
-        sizes = packed.sizes_mh[rids]
-        starts_all = packed.offsets_mh[rids]
-        order = np.argsort(sizes, kind="stable")
-        use_tables = packed.vocab.size <= _TABLE_VOCAB_LIMIT
-        # Batch preparation is hoisted out of the hash-chunk loop so that
-        # loop can run outermost: each per-chunk table is then fetched
-        # exactly once per call, even when it is too big to stay cached.
-        preps: list[tuple[IntArray, int, AnyArray, list[IntArray]]] = []
-        for b_lo in range(0, m, _BATCH):
-            batch = order[b_lo : b_lo + _BATCH]
-            bsizes = sizes[batch]
-            starts = starts_all[batch]
-            # Same 95th-percentile width cap as the reference padding:
-            # one huge set hashes row-by-row instead of re-padding the
-            # whole batch (padding repeats a member, so mins are
-            # unchanged either way).
-            cut = max(1, -(-batch.size * 95 // 100))  # ceil(0.95 * m)
-            width = int(bsizes[cut - 1])
-            head = int(np.searchsorted(bsizes, width, side="right"))
-            span = np.minimum(
-                np.arange(width, dtype=np.int64), bsizes[:head, None] - 1
-            )
-            codes = packed.codes_mh[starts[:head, None] + span]  # (head, width)
-            tail = [
-                packed.codes_mh[int(starts[i]) : int(starts[i]) + int(bsizes[i])]
-                for i in range(head, batch.size)
-            ]
-            if use_tables:
-                # (width, head): contiguous per-multiplier rows for the
-                # gather-and-fold loop below.
-                body = np.ascontiguousarray(codes.T)
-            else:
-                body = packed.vocab[codes]  # (head, width) uint64 values
-            preps.append((batch, head, body, tail))
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            a = multipliers[lo:hi]
-            table = packed.chunk_table(lo, hi, a) if use_tables else None
-            for batch, head, body, tail in preps:
-                vals = np.empty((batch.size, hi - lo), dtype=np.uint32)
-                if table is not None:
-                    mins = table[body[0]]  # fancy index: a fresh copy
-                    for k in range(1, body.shape[0]):
-                        np.minimum(mins, table[body[k]], out=mins)
-                    vals[:head] = mins
-                    for pos, tcodes in enumerate(tail):
-                        vals[head + pos] = table[tcodes].min(axis=0)
-                else:
-                    with np.errstate(over="ignore"):
-                        hashed = body[:, :, None] * a[None, None, :]
-                        vals[:head] = _high32(hashed, axis=1)
-                        for pos, tcodes in enumerate(tail):
-                            row = packed.vocab[tcodes][:, None] * a[None, :]
-                            vals[head + pos] = _high32(row, axis=0)
-                if bits is not None:
-                    vals &= np.uint32((1 << bits) - 1)
-                out[batch, lo - start : hi - start] = vals
-        return out
-
-    # ------------------------------------------------------------------
-    # intersection counts
-    # ------------------------------------------------------------------
-    def _pair_intersections(
-        self, packed: PackedField, rids_a: IntArray, rids_b: IntArray
-    ) -> FloatArray:
-        """Exact ``|A ∩ B|`` per pair, as float64."""
-        n_pairs = int(rids_a.size)
-        inter = np.empty(n_pairs, dtype=np.float64)
-        bitset = packed.bitset
-        if bitset is not None:
-            for lo in range(0, n_pairs, _PAIR_CHUNK):
-                hi = min(lo + _PAIR_CHUNK, n_pairs)
-                anded = bitset[rids_a[lo:hi]] & bitset[rids_b[lo:hi]]
-                inter[lo:hi] = _popcount_rows(anded)
-            return inter
-        # Sorted-code CSR: group the pair list by its left record and
-        # run one vectorized searchsorted merge per group — the flat
-        # concatenation of each group's right rows comes from the
-        # column's batched gather, so no per-row Python assembly.
-        column = packed.store.shingle_sets(packed.field)
-        sizes = packed.sizes
-        order = np.argsort(rids_a, kind="stable")
-        sorted_a = rids_a[order]
-        uniq, group_starts = np.unique(sorted_a, return_index=True)
-        bounds = np.concatenate([group_starts, [n_pairs]])
-        for g in range(uniq.size):
-            idx = order[bounds[g] : bounds[g + 1]]
-            target = column[int(uniq[g])]
-            group_b = rids_b[idx]
-            lengths = sizes[group_b]
-            if target.size == 0 or not int(lengths.sum()):
-                inter[idx] = 0.0
-                continue
-            flat = column.take(group_b).flat
-            inter[idx] = _merge_counts(target, flat, lengths)
-        return inter
-
-    def jaccard_block(
-        self, packed: PackedField, rids_a: IntArray, rids_b: IntArray
-    ) -> FloatArray:
-        rids_a = np.asarray(rids_a, dtype=np.int64)
-        rids_b = np.asarray(rids_b, dtype=np.int64)
-        inter = self._pair_intersections(packed, rids_a, rids_b)
-        sizes = packed.sizes
-        union = sizes[rids_a] + sizes[rids_b] - inter
-        return _finish_distances(inter, union)
-
-    # ------------------------------------------------------------------
-    # matrix / one-to-many shapes
-    # ------------------------------------------------------------------
-    def jaccard_pairwise(
-        self, packed: PackedField, rids: IntArray, chunk: int = 256
-    ) -> FloatArray:
-        rids = np.asarray(rids, dtype=np.int64)
-        m = int(rids.size)
-        bitset = packed.bitset
-        if bitset is not None and m * m <= _MATRIX_POPCOUNT_CELLS:
-            rows = bitset[rids]
-            inter = np.empty((m, m), dtype=np.float64)
-            for i in range(m):
-                inter[i] = _popcount_rows(rows[i] & rows)
-            sizes = packed.sizes[rids].astype(np.float64)
-            union = sizes[:, None] + sizes[None, :] - inter
-            dist = _finish_distances(inter, union)
-            np.fill_diagonal(dist, 0.0)
-            return dist
-        return _csr_pairwise(packed.store, packed.field, rids, chunk)
-
-    def jaccard_one_to_many(
-        self, packed: PackedField, rid: int, rids: IntArray
-    ) -> FloatArray:
-        rids = np.asarray(rids, dtype=np.int64)
-        if rids.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        sizes = packed.sizes
-        bitset = packed.bitset
-        if bitset is not None:
-            inter = _popcount_rows(bitset[rids] & bitset[int(rid)]).astype(
-                np.float64
-            )
-        else:
-            column = packed.store.shingle_sets(packed.field)
-            target = column[int(rid)]
-            lengths = sizes[rids]
-            if target.size and int(lengths.sum()):
-                flat = column.take(rids).flat
-                inter = _merge_counts(target, flat, lengths)
-            else:
-                inter = np.zeros(rids.size, dtype=np.float64)
-        union = sizes[rids] + sizes[int(rid)] - inter
-        return _finish_distances(inter, union)
-
-    def jaccard_block_matrix(
-        self, packed: PackedField, rids_a: IntArray, rids_b: IntArray
-    ) -> FloatArray:
-        rids_a = np.asarray(rids_a, dtype=np.int64)
-        rids_b = np.asarray(rids_b, dtype=np.int64)
-        bitset = packed.bitset
-        cells = int(rids_a.size) * int(rids_b.size)
-        if bitset is not None and cells <= _MATRIX_POPCOUNT_CELLS:
-            rows_a = bitset[rids_a]
-            rows_b = bitset[rids_b]
-            inter = np.empty((rids_a.size, rids_b.size), dtype=np.float64)
-            for i in range(int(rids_a.size)):
-                inter[i] = _popcount_rows(rows_a[i] & rows_b)
-            sizes = packed.sizes
-            union = (
-                sizes[rids_a][:, None] + sizes[rids_b][None, :] - inter
-            )
-            return _finish_distances(inter, union)
-        return _csr_block_matrix(packed.store, packed.field, rids_a, rids_b)
-
-
-def _merge_counts(
-    target: IntArray, flat: IntArray, lengths: IntArray
-) -> FloatArray:
-    """Per-row counts of ``target`` hits in concatenated sorted rows.
-
-    The same searchsorted merge as the reference one-to-many path: one
-    binary-search pass over the concatenation, then a cumulative-sum
-    split back into per-row totals.  Exact integers.
-    """
-    slots = np.searchsorted(target, flat)
-    hits = target[np.minimum(slots, target.size - 1)] == flat
-    csum = np.concatenate([[0], np.cumsum(hits)])
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    return (csum[offsets + lengths] - csum[offsets]).astype(np.float64)
+def packed_field(store: RecordStore, field: str) -> PackedField:
+    """The :class:`PackedField` of ``field``, cached on ``store`` so
+    every family and distance over the same field shares one layout."""
+    packed = store._packed_cache.get(field)
+    if packed is None:
+        packed = PackedField(store, field)
+        store._packed_cache[field] = packed
+    return packed

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..kernels.reference import _splitmix64
+from ..kernels.base import _splitmix64
 from ..obs.clock import monotonic
 from ..types import AnyArray, BoolArray, IntArray
 

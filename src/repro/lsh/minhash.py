@@ -24,8 +24,8 @@ from typing import Any
 import numpy as np
 
 from ..errors import ConfigurationError, SnapshotError
-from ..kernels import get_kernels, resolve_kernels
-from ..kernels.reference import EMPTY_SENTINEL, _splitmix64
+from ..kernels import KERNELS, packed_field
+from ..kernels.base import EMPTY_SENTINEL, _splitmix64
 from ..records import RecordStore
 from ..rngutil import SeedLike, make_rng, rng_from_state, rng_state
 from ..types import AnyArray, ArrayLike, FloatArray, IntArray
@@ -44,11 +44,10 @@ class MinHashFamily(HashFamily):
     designer accounts for it automatically through
     :meth:`collision_prob`.
 
-    ``kernels`` pins the signature kernel backend (resolved through the
-    explicit → :func:`repro.kernels.use_kernels` → ``REPRO_KERNELS``
-    funnel at construction, so an ambient selection taken when the
-    family is built stays in force for its whole life).  Backends are
-    bit-identical, so this is purely a performance knob.
+    Signatures come from :meth:`repro.kernels.KernelBackend.minhash_block`
+    over the field's packed layout, which the first :meth:`compute`
+    builds (construction packs nothing) and the store caches for every
+    family and distance over the same field.
     """
 
     dtype = np.dtype(np.uint32)
@@ -59,20 +58,13 @@ class MinHashFamily(HashFamily):
         field: str,
         seed: SeedLike = None,
         bits: int | None = None,
-        kernels: str | None = None,
     ) -> None:
         super().__init__(store, field)
         if bits is not None and not 1 <= int(bits) <= 32:
             raise ConfigurationError(f"bits must be in [1, 32], got {bits}")
         self.bits = int(bits) if bits is not None else None
-        self.kernels = resolve_kernels(kernels)
         self._rng = make_rng(seed)
         self._a: AnyArray = np.zeros(0, dtype=np.uint64)
-        self._backend = get_kernels(self.kernels)
-        # The packed representation (splitmix64-scrambled ids plus
-        # whatever layout the backend evaluates on) is built once per
-        # store × field and cached on the store.
-        self._packed = self._backend.pack_sets(store, field)
 
     def _ensure_params(self, count: int) -> None:
         have = self._a.size
@@ -85,8 +77,13 @@ class MinHashFamily(HashFamily):
 
     def compute(self, rids: IntArray, start: int, stop: int) -> AnyArray:
         self._ensure_params(stop)
-        return self._backend.minhash_block(
-            self._packed, rids, self._a, start, stop, self.bits
+        return KERNELS.minhash_block(
+            packed_field(self.store, self.field),
+            rids,
+            self._a,
+            start,
+            stop,
+            self.bits,
         )
 
     def parallel_payload(self, count: int) -> dict[str, Any] | None:
@@ -94,7 +91,7 @@ class MinHashFamily(HashFamily):
         return {
             "kind": "minhash",
             "field": self.field,
-            "options": {"bits": self.bits, "kernels": self.kernels},
+            "options": {"bits": self.bits},
             "params": {"a": self._a[:count].copy()},
         }
 

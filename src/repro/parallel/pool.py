@@ -271,7 +271,6 @@ class ExecutionPool:
         rule: MatchRule,
         rids: IntArray,
         block_size: int,
-        kernels: str | None = None,
     ) -> list[tuple[int, IntArray, IntArray, IntArray, IntArray]] | None:
         """Match every row-block of ``rids`` against itself and all
         earlier rows, fanned across workers.
@@ -295,7 +294,7 @@ class ExecutionPool:
                 (
                     block_start,
                     executor.submit(
-                        worker.pairwise_block_task, rule, block, earlier, kernels
+                        worker.pairwise_block_task, rule, block, earlier
                     ),
                 )
             )
@@ -314,7 +313,6 @@ class ExecutionPool:
         jobs: list[tuple[IntArray, list[tuple[IntArray, IntArray]]]],
         total_rows: int,
         block_size: int,
-        kernels: str | None = None,
     ) -> (
         list[tuple[IntArray, IntArray, list[tuple[IntArray, IntArray]]]] | None
     ):
@@ -337,9 +335,7 @@ class ExecutionPool:
             return None
         executor = self._ensure_executor()
         futures = [
-            executor.submit(
-                worker.pairwise_jobs_task, rule, pair_rids, rects, kernels
-            )
+            executor.submit(worker.pairwise_jobs_task, rule, pair_rids, rects)
             for pair_rids, rects in jobs
         ]
         bundles: list[

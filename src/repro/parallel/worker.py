@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..kernels import use_kernels
 from ..obs.clock import monotonic
 from ..records import RecordStore
 from ..types import AnyArray, IntArray
@@ -90,7 +89,6 @@ def _build_family(store: RecordStore, spec: dict[str, Any]) -> HashFamily:
             spec["field"],
             seed=0,
             bits=options["bits"],
-            kernels=options.get("kernels"),
         )
     if kind == "hyperplane":
         from ..lsh.hyperplanes import RandomHyperplaneFamily
@@ -142,28 +140,24 @@ def pairwise_block_task(
     rule: MatchRule,
     block: IntArray,
     earlier: IntArray,
-    kernels: str | None = None,
 ) -> tuple[IntArray, IntArray, IntArray, IntArray, float]:
     """Match one row-block: intra-block and block-vs-earlier edges.
 
     Returns edge index pairs in exactly the order the serial blocked
     strategy enumerates them (``np.nonzero`` row-major order), so the
     parent can replay unions block by block and reproduce the serial
-    forest bit for bit.  ``kernels`` carries the parent's backend
-    selection across the process boundary (ambient context variables do
-    not); backends are bit-identical, so it only affects speed.
+    forest bit for bit.
     """
     store = _store()
     started = monotonic()
-    with use_kernels(kernels):
-        square = rule.pairwise_match(store, block)
-        intra_i, intra_j = np.nonzero(np.triu(square, k=1))
-        if earlier.size:
-            cross = rule.match_block(store, block, earlier)
-            cross_i, cross_j = np.nonzero(cross)
-        else:
-            cross_i = np.zeros(0, dtype=np.int64)
-            cross_j = np.zeros(0, dtype=np.int64)
+    square = rule.pairwise_match(store, block)
+    intra_i, intra_j = np.nonzero(np.triu(square, k=1))
+    if earlier.size:
+        cross = rule.match_block(store, block, earlier)
+        cross_i, cross_j = np.nonzero(cross)
+    else:
+        cross_i = np.zeros(0, dtype=np.int64)
+        cross_j = np.zeros(0, dtype=np.int64)
     return intra_i, intra_j, cross_i, cross_j, monotonic() - started
 
 
@@ -212,13 +206,9 @@ def pairwise_jobs_task(
     rule: MatchRule,
     pair_rids: IntArray,
     rects: list[tuple[IntArray, IntArray]],
-    kernels: str | None = None,
 ) -> tuple[IntArray, IntArray, list[tuple[IntArray, IntArray]], float]:
     """Worker wrapper around :func:`evaluate_block_jobs`."""
     store = _store()
     started = monotonic()
-    with use_kernels(kernels):
-        pair_i, pair_j, rect_edges = evaluate_block_jobs(
-            store, rule, pair_rids, rects
-        )
+    pair_i, pair_j, rect_edges = evaluate_block_jobs(store, rule, pair_rids, rects)
     return pair_i, pair_j, rect_edges, monotonic() - started

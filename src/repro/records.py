@@ -372,10 +372,10 @@ class RecordStore:
         self._shingles: dict[str, ShingleColumn] = {}
         self._csr_cache: dict[str, sp.csr_matrix] = {}
         self._sizes_cache: dict[str, IntArray] = {}
-        #: Per-``(kernel backend, field)`` packed representations (see
-        #: :mod:`repro.kernels`).  Derived data: rebuilt on demand, so
-        #: it is never serialized or snapshotted.
-        self._packed_cache: dict[tuple[str, str], Any] = {}
+        #: Per-field packed layouts (see :mod:`repro.kernels.packed`).
+        #: Derived data: rebuilt on demand, so it is never serialized
+        #: or snapshotted.
+        self._packed_cache: dict[str, Any] = {}
         #: On-disk backing of the columns, when memory-mapped.
         self.backing: StoreBacking | None = None
         sizes: set[int] = set()

@@ -42,7 +42,6 @@ from ..io import (
     rule_to_spec,
     unpack_json_header,
 )
-from ..kernels import use_kernels
 from ..lsh.design import (
     build_design_context,
     scheme_design_from_spec,
@@ -192,7 +191,6 @@ class IndexSnapshot:
         n_jobs: int | None = None,
         observer: RunObserver | None = None,
         strict: bool = True,
-        kernels: str | None = None,
     ) -> AdaptiveLSH:
         """Rebuild a warm-started :class:`AdaptiveLSH` over ``store``.
 
@@ -202,10 +200,9 @@ class IndexSnapshot:
         restored pool columns cover the prefix and new records hash
         lazily — the snapshot-then-extend serving path.
 
-        ``n_jobs`` overrides the worker count and ``kernels`` the
-        kernel backend; both are execution details (results are
-        bit-identical either way) and are therefore never captured in
-        the snapshot itself.
+        ``n_jobs`` overrides the worker count; it is an execution
+        detail (results are bit-identical either way) and is therefore
+        never captured in the snapshot itself.
         """
         header = self.header
         schema_spec = [
@@ -236,16 +233,12 @@ class IndexSnapshot:
             header["config"],
             cost_model=cost_model,
             n_jobs=n_jobs,
-            kernels=kernels,
         )
         method = AdaptiveLSH(store, rule, config=config, observer=observer)
         # Rebuilding the context draws nothing: families are constructed
         # with empty parameter arrays, then overwritten from the
-        # snapshot (parameters + exact RNG stream positions).  Built
-        # under the method's kernel selection so the rebuilt families
-        # pin the same backend.
-        with use_kernels(method.kernels):
-            ctx = build_design_context(store, rule, seed=0)
+        # snapshot (parameters + exact RNG stream positions).
+        ctx = build_design_context(store, rule, seed=0)
         leaves = [comp for branch in ctx.branches for comp in branch]
         pools_meta = header["pools"]
         if len(leaves) != len(pools_meta):

@@ -1,5 +1,6 @@
 """End-to-end identity: final clusters are bit-identical with the bin
-index on and off, across kernel backends, worker counts, snapshot
+index on and off, on the production and reference kernels, across
+worker counts, snapshot
 restore, streaming inserts, and serving-session store extensions; and
 the fingerprints and key words the bin index reads straight from the
 signature pools equal the ones defined over packed key rows."""
@@ -15,6 +16,7 @@ from repro.lsh.binindex import SchemeBinIndex, key_words, table_fingerprints
 from repro.online import StreamingTopK
 from repro.serve import IndexSnapshot, ResolverSession
 from repro.structures.union_find import UnionFind
+from tests.kernels.reference import use_reference_kernels
 from tests.lsh.keyref import (
     FAMILIES,
     _table_fingerprints,
@@ -33,13 +35,12 @@ def _clusters(result):
     return [tuple(int(r) for r in c.rids) for c in result.clusters]
 
 
-def _run(dataset, bin_index, n_jobs=None, kernels=None, k=3):
+def _run(dataset, bin_index, n_jobs=None, k=3):
     config = AdaptiveConfig(
         seed=7,
         cost_model="analytic",
         bin_index=bin_index,
         n_jobs=n_jobs,
-        kernels=kernels,
     )
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
         result = method.run(k)
@@ -63,12 +64,14 @@ def test_bin_index_on_off_identical(generate, n_jobs):
 
 
 @pytest.mark.parametrize("kernels", ["numpy", "packed"])
-def test_bin_index_identical_per_kernel_backend(kernels):
+def test_bin_index_identical_per_kernel_backend(kernels, monkeypatch):
+    # "numpy" replays the run on the reference kernels of tests/kernels.
+    if kernels == "numpy":
+        use_reference_kernels(monkeypatch)
     dataset = generate_spotsigs(n_records=300, seed=2)
-    off = _run(dataset, False, kernels=kernels)
-    on = _run(dataset, True, kernels=kernels)
+    off = _run(dataset, False)
+    on = _run(dataset, True)
     assert _clusters(off) == _clusters(on)
-    assert on.info["kernels"] == kernels
 
 
 def test_zero_byte_budget_degrades_identically():

@@ -32,8 +32,9 @@ class TestValidation:
             AdaptiveConfig(cost_model="tea-leaves")
 
     def test_bad_kernels(self):
-        with pytest.raises(ConfigurationError, match="kernels"):
-            AdaptiveConfig(kernels="gpu")
+        # The kernel backend knob is retired: there is one backend.
+        with pytest.raises(TypeError, match="kernels"):
+            AdaptiveConfig(kernels="packed")
 
     def test_config_with(self):
         base = AdaptiveConfig(seed=1)
@@ -54,10 +55,9 @@ class TestSerialization:
         )
 
     def test_to_dict_excludes_non_portable_fields(self):
-        data = AdaptiveConfig(seed=7, n_jobs=4, kernels="packed").to_dict()
+        data = AdaptiveConfig(seed=7, n_jobs=4).to_dict()
         assert "seed" not in data
         assert "n_jobs" not in data
-        assert "kernels" not in data
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -94,6 +94,15 @@ class TestSerialization:
         expected = dict(data)
         del expected["signature_cache"]
         assert config.to_dict() == expected
+
+    @pytest.mark.parametrize("kernels", ["numpy", "packed", None])
+    def test_from_dict_drops_retired_kernels_key(self, kernels):
+        # Dicts written while the kernel backend was selectable.
+        data = {**AdaptiveConfig(epsilon=0.2).to_dict(), "kernels": kernels}
+        config = AdaptiveConfig.from_dict(data)
+        assert config.epsilon == 0.2
+        assert not hasattr(config, "kernels")
+        assert "kernels" not in config.to_dict()
 
 
 class TestConfigOnlySurface:

@@ -1,22 +1,22 @@
-"""Property-based equivalence: the packed backend is a bit-identical
-drop-in for the pure-NumPy reference oracle.
+"""Property-based equivalence: the production kernels are bit-identical
+to the pure-NumPy reference oracle in ``tests/kernels/reference.py``.
 
 Random shingle stores cover empty sets (the ``EMPTY_SENTINEL`` path),
 small vocabularies (dense-bitset packing) and large sparse ids
 (sorted-id CSR packing), b-bit truncation, and every derived distance
 shape.  Equality is exact (``np.array_equal`` on raw uint64/float64
-output), not approximate — that is the backend contract.
+output), not approximate — that is the kernel contract.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import get_kernels
+from repro.kernels import EMPTY_SENTINEL, KERNELS, jaccard_distance, packed_field
 from repro.kernels.packed import _BITSET_VOCAB_LIMIT
-from repro.kernels.reference import EMPTY_SENTINEL, jaccard_distance
 from repro.lsh.minhash import MinHashFamily
 from repro.records import RecordStore, Schema
+from tests.kernels.reference import ReferenceKernels
 
 SETTINGS = settings(
     max_examples=40,
@@ -49,31 +49,26 @@ def shingle_store(draw):
 
 
 def _packed_pair(store):
-    ref = get_kernels("numpy")
-    fast = get_kernels("packed")
-    return (ref, ref.pack_sets(store, "shingles")), (
-        fast,
-        fast.pack_sets(store, "shingles"),
-    )
+    packed = packed_field(store, "shingles")
+    return (ReferenceKernels(), packed), (KERNELS, packed)
 
 
 @SETTINGS
 @given(data=shingle_store(), bits=st.sampled_from([None, 1, 4, 8]))
 def test_minhash_block_bit_identical(data, bits):
     store, seed = data
-    ref = MinHashFamily(store, "shingles", seed=0, bits=bits, kernels="numpy")
-    fast = MinHashFamily(
-        store, "shingles", seed=0, bits=bits, kernels="packed"
-    )
+    family = MinHashFamily(store, "shingles", seed=0, bits=bits)
     rng = np.random.default_rng(seed)
     rids = rng.permutation(len(store))[: max(1, len(store) // 2)].astype(
         np.int64
     )
     start = int(rng.integers(0, 5))
     stop = start + int(rng.integers(1, 40))
-    assert np.array_equal(
-        ref.compute(rids, start, stop), fast.compute(rids, start, stop)
+    fast = family.compute(rids, start, stop)
+    ref = ReferenceKernels().minhash_block(
+        packed_field(store, "shingles"), rids, family._a, start, stop, bits
     )
+    assert np.array_equal(ref, fast)
 
 
 @SETTINGS
@@ -149,13 +144,15 @@ def test_empty_sets_use_sentinel_and_zero_distance():
         np.array([1, 2, 3], dtype=np.int64),
     ]
     store = RecordStore(Schema.single_shingles(), {"shingles": sets})
-    for backend in ("numpy", "packed"):
-        family = MinHashFamily(store, "shingles", seed=0, kernels=backend)
-        sig = family.compute(np.array([0, 1], dtype=np.int64), 0, 4)
+    family = MinHashFamily(store, "shingles", seed=0)
+    family._ensure_params(4)
+    packed = packed_field(store, "shingles")
+    for kern in (ReferenceKernels(), KERNELS):
+        sig = kern.minhash_block(
+            packed, np.array([0, 1], dtype=np.int64), family._a, 0, 4, None
+        )
         # Two empty records hash identically (the scrambled sentinel).
         assert np.array_equal(sig[0], sig[1])
-        kern = get_kernels(backend)
-        packed = kern.pack_sets(store, "shingles")
         d = kern.jaccard_block(
             packed,
             np.array([0, 0], dtype=np.int64),

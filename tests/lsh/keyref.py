@@ -11,7 +11,7 @@ pool path against them bit for bit.
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.kernels.reference import _splitmix64
+from repro.kernels.base import _splitmix64
 
 
 def pack_key_words(rows):
