@@ -2,10 +2,12 @@
 
 Runs the adaptive method cold on fixed-seed Cora-like and
 SpotSigs-like synthetics and records, per scenario, the wall time plus
-the two deterministic work counters — ``pairs_compared`` and
-``hashes_computed``.  With ``cost_model="analytic"`` and pinned seeds
-both counters are exact functions of the code, so they gate perf
-regressions the way ``analysis_baseline.json`` gates lint findings:
+the deterministic work counters ``pairs_compared`` and
+``hashes_computed`` plus ``pool_bytes``, the bytes the signature pools
+hold after the run (read from the run report's hash-pool table).  With
+``cost_model="analytic"`` and pinned seeds all three are exact
+functions of the code, so they gate perf regressions the way
+``analysis_baseline.json`` gates lint findings:
 
 * ``--write-baseline perf_baseline.json`` records the current counters;
 * ``--check-baseline perf_baseline.json`` fails (exit 1) if any
@@ -33,10 +35,11 @@ from repro.bench import emit_result
 from repro.core.adaptive import AdaptiveLSH
 from repro.core.config import AdaptiveConfig
 from repro.datasets import generate_cora, generate_spotsigs
+from repro.obs import RunObserver
 
 #: Gated counters (deterministic); ``wall_seconds`` rides along
 #: uncompared.
-GATED_COUNTERS = ("pairs_compared", "hashes_computed")
+GATED_COUNTERS = ("pairs_compared", "hashes_computed", "pool_bytes")
 
 #: Archived ``wall_seconds_history`` entries kept per scenario.
 HISTORY_LIMIT = 20
@@ -54,15 +57,20 @@ def run_scenarios(records: int, seed: int, method_seed: int, k: int):
     for name, dataset in _scenarios(records, seed):
         config = AdaptiveConfig(seed=method_seed, cost_model="analytic")
         started = time.perf_counter()
-        with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
+        with AdaptiveLSH(
+            dataset.store, dataset.rule, config=config, observer=RunObserver()
+        ) as method:
             result = method.run(k)
         elapsed = time.perf_counter() - started
+        assert method.last_report is not None
+        pools = method.last_report.hash_pools
         out[name] = {
             "records": records,
             "k": k,
             "wall_seconds": round(elapsed, 4),
             "pairs_compared": int(result.counters.pairs_compared),
             "hashes_computed": int(result.counters.hashes_computed),
+            "pool_bytes": sum(int(pool["bytes"]) for pool in pools),
             "pairs_charged": int(result.counters.pairs_charged),
             "rounds": int(result.counters.rounds),
         }

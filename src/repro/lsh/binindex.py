@@ -167,9 +167,9 @@ def table_fingerprints(scheme: HashingScheme, rids: IntArray) -> AnyArray:
         for lo in range(0, m, step):
             chunk = rids[lo : lo + step]
             blocks = [
-                use.pool.signatures(chunk, use.offset + z * use.w)[
-                    :, use.offset :
-                ].reshape(chunk.size, z, use.w)
+                use.pool.signatures(
+                    chunk, use.offset + z * use.w, start=use.offset
+                ).reshape(chunk.size, z, use.w)
                 for use in group.uses
             ]
             out[lo : lo + step, t0 : t0 + z] = _mix(
@@ -180,28 +180,39 @@ def table_fingerprints(scheme: HashingScheme, rids: IntArray) -> AnyArray:
 
 
 def key_words(
-    scheme: HashingScheme, tables: IntArray, rids: IntArray
+    scheme: HashingScheme,
+    tables: IntArray,
+    rids: IntArray,
+    positions: IntArray | None = None,
 ) -> AnyArray:
-    """Big-endian key words of record ``rids[i]`` in table ``tables[i]``:
-    ``(n, max words per key)`` uint64, zero-padded.  One fancy index
-    per pool use reads the keys' hash values from the pool columns."""
+    """Big-endian key words of entry ``i`` — record ``rids[positions[i]]``
+    (``rids[i]`` without ``positions``) in table ``tables[i]``: ``(n,
+    max words per key)`` uint64, zero-padded.  One fancy index per pool
+    use reads the keys' hash values from the pool columns; passing a
+    level's rows plus entry positions keeps the pools' per-record
+    lookups at one per row."""
 
-    def group_words(group: TableGroup, sub: IntArray, local: IntArray) -> AnyArray:
+    def group_words(
+        group: TableGroup, local: IntArray, at: IntArray | None
+    ) -> AnyArray:
         blocks = [
-            use.pool.table_values(sub, local, use.w, use.offset, group.z)
+            use.pool.table_values(rids, local, use.w, use.offset, group.z, at)
             for use in group.uses
         ]
         return _words(blocks, _key_dtype(group))
 
     if len(scheme.groups) == 1:
-        return group_words(scheme.groups[0], rids, tables)
+        return group_words(scheme.groups[0], tables, positions)
     width = max(_n_words(group) for group in scheme.groups)
-    out = np.zeros((rids.size, width), dtype=np.uint64)
+    out = np.zeros((tables.size, width), dtype=np.uint64)
+    entries = positions
+    if entries is None:
+        entries = np.arange(rids.size, dtype=np.int64)
     t0 = 0
     for group in scheme.groups:
         sel = np.flatnonzero((tables >= t0) & (tables < t0 + group.z))
         if sel.size:
-            words = group_words(group, rids[sel], tables[sel] - t0)
+            words = group_words(group, tables[sel] - t0, entries[sel])
             out[sel, : words.shape[1]] = words
         t0 += group.z
     return out
@@ -392,7 +403,7 @@ class LevelBins:
         members, starts = group_table(
             fps,
             lambda tables, positions: key_words(
-                scheme, tables, rids[positions]
+                scheme, tables, rids, positions
             ),
         )
         owner.record_group(
@@ -612,7 +623,7 @@ class H1DeltaIndex:
         members, starts = group_table(
             fps,
             lambda tables, positions: key_words(
-                scheme, tables, rids[positions]
+                scheme, tables, rids, positions
             ),
         )
         heads, others = csr_edges(members, starts)

@@ -100,13 +100,79 @@ class HashFamily(abc.ABC):
         return f"{type(self).__name__}[{self.field}]"
 
 
+#: Width of the narrowest size class; class ``c`` holds rows of up to
+#: ``MIN_WIDTH << c`` hash values.
+MIN_WIDTH = 8
+
+#: Records copied per slice when exporting a pool.
+EXPORT_ROWS = 256
+
+
+def _class_of(count: int) -> int:
+    """Index of the narrowest size class whose rows hold ``count``
+    values."""
+    return max(0, (int(count) - 1) // MIN_WIDTH).bit_length()
+
+
+class _SizeClass:
+    """The rows of one size class: a ``(rows, width)`` value matrix
+    that hands out fresh (zero) rows and grows by doubling, up to one
+    row per record, plus each record's row in it (``-1``: none)."""
+
+    def __init__(
+        self, width: int, dtype: np.dtype[Any], n_records: int, rows: int
+    ) -> None:
+        self.width = width
+        self.data: AnyArray = np.zeros((rows, width), dtype=dtype)
+        self.used = 0
+        self.slot_of: IntArray = np.full(n_records, -1, dtype=np.int64)
+
+    def add(self, rids: IntArray) -> IntArray:
+        """New rows for distinct ``rids``, which have none here yet."""
+        stop = self.used + int(rids.size)
+        if stop > self.data.shape[0]:
+            rows = min(max(stop, 2 * self.data.shape[0]), self.slot_of.size)
+            grown = np.zeros((rows, self.width), dtype=self.data.dtype)
+            grown[: self.used] = self.data[: self.used]
+            self.data = grown
+        slots = np.arange(self.used, stop, dtype=np.int64)
+        self.used = stop
+        self.slot_of[rids] = slots
+        return slots
+
+
+def _by_class(cls: AnyArray) -> list[tuple[int, Any]]:
+    """``(class, index)`` groups of a per-entry class array; one group
+    indexed by ``slice(None)`` when every entry shares a class."""
+    if cls.size == 0:
+        return []
+    first = int(cls[0])
+    if bool((cls == first).all()):
+        return [(first, slice(None))]
+    return [(int(c), np.flatnonzero(cls == c)) for c in np.unique(cls)]
+
+
+#: ``(class, rows in it, index into the request)`` read groups.
+RowGroups = list[tuple[_SizeClass, IntArray, Any]]
+
+
 class SignaturePool:
     """Per-record cache of hash values for one :class:`HashFamily`.
 
-    The pool owns a ``(n, capacity)`` value matrix plus a per-record
-    fill count.  ``signatures(rids, count)`` extends only the missing
-    columns of only the requested records — this is exactly the
+    ``signatures(rids, count)`` extends only the missing columns of
+    only the requested records — this is exactly the
     incremental-computation property the adaptive algorithm exploits.
+
+    Values are kept in *size classes*: a record's values are one
+    contiguous row of the class whose width is the smallest power of
+    two (at least :data:`MIN_WIDTH`) that holds its fill count.  An
+    extension that still fits writes the row in place; one that does
+    not copies only that record's values into a row of the wider class,
+    so a growth never touches the records that did not grow.  The row
+    left behind is completed to its class's width and kept: every record
+    that passed through a class can still be read there.  The records
+    one level reads were refined to that level together, so they all
+    have a row in its class and reading them is one gather.
     """
 
     def __init__(self, family: HashFamily, name: str = "pool") -> None:
@@ -114,7 +180,10 @@ class SignaturePool:
         self.name = name
         n = len(family.store)
         self._filled: IntArray = np.zeros(n, dtype=np.int64)
-        self._data: AnyArray = np.zeros((n, 0), dtype=family.dtype)
+        #: Class of each record's widest row, the one holding all its
+        #: values; -1 while it has none.
+        self._cls: AnyArray = np.full(n, -1, dtype=np.int8)
+        self._classes: list[_SizeClass | None] = []
         #: Total hash values ever computed (work counter).
         self.hashes_computed = 0
         #: Wall-time spent in :meth:`HashFamily.compute` (only measured
@@ -133,27 +202,56 @@ class SignaturePool:
     def __len__(self) -> int:
         return int(self._filled.shape[0])
 
-    @property
-    def capacity(self) -> int:
-        return int(self._data.shape[1])
-
     def filled(self, rid: int) -> int:
         """How many hash values are cached for ``rid``."""
         return int(self._filled[rid])
 
-    def _grow(self, needed: int) -> None:
-        if needed <= self.capacity:
-            return
-        new_cap = max(needed, max(8, self.capacity * 2))
-        grown = np.zeros((len(self), new_cap), dtype=self._data.dtype)
-        if self.capacity:
-            grown[:, : self.capacity] = self._data
-        self._data = grown
+    def _class(self, c: int) -> _SizeClass:
+        found = self._classes[c]
+        assert found is not None
+        return found
+
+    def _open_class(self, c: int, rows: int) -> _SizeClass:
+        """Class ``c``, created with room for ``rows`` rows if absent."""
+        while len(self._classes) <= c:
+            self._classes.append(None)
+        found = self._classes[c]
+        if found is None:
+            found = _SizeClass(
+                MIN_WIDTH << c, self.family.dtype, len(self), rows
+            )
+            self._classes[c] = found
+        return found
+
+    def _write(
+        self, rids: IntArray, level: int, count: int, values: AnyArray
+    ) -> None:
+        """Store columns ``[level, count)`` of ``rids`` (all at fill
+        ``level``)."""
+        dest = _class_of(count)
+        grows = self._cls[rids] < dest
+        if grows.any():
+            movers, first = np.unique(rids[grows], return_index=True)
+            moved = values[np.flatnonzero(grows)[first]]
+            target = self._open_class(dest, int(movers.size))
+            new = target.add(movers)
+            for c, idx in _by_class(self._cls[movers]):
+                if c < 0:
+                    continue
+                source = self._class(c)
+                old = source.slot_of[movers[idx]]
+                if level:
+                    target.data[new[idx], :level] = source.data[old, :level]
+                # Complete the row left behind, so it stays readable.
+                source.data[old, level:] = moved[idx, : source.width - level]
+            self._cls[movers] = dest
+        for c, idx in _by_class(self._cls[rids]):
+            found = self._class(c)
+            found.data[found.slot_of[rids[idx]], level:count] = values[idx]
 
     def ensure(self, rids: ArrayLike, count: int) -> None:
         """Make sure every record in ``rids`` has ``count`` hash values."""
         rids = np.asarray(rids, dtype=np.int64)
-        self._grow(count)
         pending = rids[self._filled[rids] < count]
         if pending.size == 0:
             return
@@ -176,7 +274,7 @@ class SignaturePool:
                 )
             if values is None:
                 values = self.family.compute(batch, int(level), count)
-            self._data[batch, int(level):count] = values
+            self._write(batch, int(level), count, values)
             self._filled[batch] = count
             self.hashes_computed += int(batch.size) * (count - int(level))
         if timed:
@@ -195,24 +293,45 @@ class SignaturePool:
             "family": self.family.label,
             "hashes_computed": int(self.hashes_computed),
             "seconds": float(self.hash_seconds),
+            "bytes": sum(
+                found.data.nbytes for found in self._classes if found is not None
+            ),
+            "filled_values": int(self._filled.sum()),
         }
 
     # ------------------------------------------------------------------
     # snapshot support
     # ------------------------------------------------------------------
     def export_columns(self) -> tuple[AnyArray, IntArray]:
-        """Copies of the cached value matrix and the per-record fill
-        counts, for index snapshots (dtype-exact)."""
-        return self._data.copy(), self._filled.copy()
+        """The cached values as a dense ``(n, max fill)`` matrix, zero
+        past each record's fill count, plus the per-record fill counts,
+        for index snapshots (dtype-exact).  The arrays depend only on
+        what is filled, never on how the pool grew."""
+        n = len(self)
+        width = int(self._filled.max()) if n else 0
+        held = np.flatnonzero(self._cls >= 0)
+        data = np.zeros((n, width), dtype=self.family.dtype)
+        for c, idx in _by_class(self._cls[held]):
+            found = self._class(c)
+            rows = held[idx]
+            cols = min(width, found.width)
+            # In slices, so the gather's temporary copy stays small.
+            for lo in range(0, rows.size, EXPORT_ROWS):
+                part = rows[lo : lo + EXPORT_ROWS]
+                data[part, :cols] = found.data[found.slot_of[part], :cols]
+        return data, self._filled.copy()
 
     def import_columns(self, data: AnyArray, filled: ArrayLike) -> None:
         """Adopt snapshot columns on a freshly built (empty) pool.
 
         ``data``/``filled`` may cover only a *prefix* of this pool's
         records — the snapshot-then-extend-store case — in which case
-        the remaining rows start empty.  ``hashes_computed`` stays at
-        its current value: restored values were paid for by the run
-        that captured them, not by this one.
+        the remaining rows start empty.  Every record, the empty ones
+        included, gets a row of one size class wide enough for the
+        largest fill count, so a restored pool reads with one gather
+        and records that arrive later fill in place.
+        ``hashes_computed`` stays at its current value: restored values
+        were paid for by the run that captured them, not by this one.
         """
         data = np.asarray(data)
         filled = np.asarray(filled, dtype=np.int64)
@@ -233,28 +352,95 @@ class SignaturePool:
             raise SnapshotError(
                 f"pool {self.name!r}: fill counts outside [0, {capacity}]"
             )
-        self._data = np.zeros((n, capacity), dtype=self.family.dtype)
-        self._data[:rows] = data
         self._filled = np.zeros(n, dtype=np.int64)
         self._filled[:rows] = filled
+        self._cls = np.full(n, -1, dtype=np.int8)
+        self._classes = []
+        top = int(filled.max()) if filled.size else 0
+        if top:
+            c = _class_of(top)
+            found = self._open_class(c, n)
+            found.add(np.arange(n, dtype=np.int64))
+            self._cls[:] = c
+            cols = min(capacity, found.width)
+            found.data[:rows, :cols] = data[:, :cols]
 
-    def signatures(self, rids: ArrayLike, count: int) -> AnyArray:
-        """The first ``count`` hash values of each record in ``rids``."""
+    def _rows(self, rids: IntArray, count: int) -> RowGroups:
+        """Where to read columns ``[0, count)`` of filled ``rids``.
+
+        One group when every record has a row in the narrowest class
+        present that holds ``count`` values (the common case); else each
+        record's widest row, grouped by class.
+        """
+        for c in range(_class_of(count), len(self._classes)):
+            found = self._classes[c]
+            if found is not None:
+                slots = found.slot_of[rids]
+                # A class with a row for every record needs no check.
+                full = found.used == self._filled.size
+                if full or not slots.size or slots.min() >= 0:
+                    return [(found, slots, slice(None))]
+                break
+        groups: RowGroups = []
+        for c, idx in _by_class(self._cls[rids]):
+            found = self._class(c)
+            groups.append((found, found.slot_of[rids[idx]], idx))
+        return groups
+
+    def _gather(self, rids: IntArray, start: int, stop: int) -> AnyArray:
+        """Columns ``[start, stop)`` of filled records ``rids``."""
+        if stop <= start:
+            return np.zeros((rids.size, 0), dtype=self.family.dtype)
+        groups = self._rows(rids, stop)
+        if len(groups) == 1:
+            found, slots, _ = groups[0]
+            return found.data[slots, start:stop]
+        out = np.empty((rids.size, stop - start), dtype=self.family.dtype)
+        for found, slots, idx in groups:
+            out[idx] = found.data[slots, start:stop]
+        return out
+
+    def signatures(
+        self, rids: ArrayLike, count: int, start: int = 0
+    ) -> AnyArray:
+        """Hash values ``[start, count)`` of each record in ``rids``."""
         rids = np.asarray(rids, dtype=np.int64)
         self.ensure(rids, count)
-        return self._data[rids, :count]
+        return self._gather(rids, start, count)
 
     def table_values(
-        self, rids: IntArray, tables: IntArray, w: int, offset: int, z: int
+        self,
+        rids: IntArray,
+        tables: IntArray,
+        w: int,
+        offset: int,
+        z: int,
+        positions: IntArray | None = None,
     ) -> AnyArray:
         """The ``w`` hash values table ``tables[i]`` of a ``z``-table
-        layout reads for record ``rids[i]`` — columns ``offset +
-        [t * w, (t + 1) * w)`` — as a ``(len(rids), w)`` array."""
+        layout reads for entry ``i`` — columns ``offset + [t * w,
+        (t + 1) * w)`` — as a ``(len(tables), w)`` array.
+
+        Entry ``i`` is record ``rids[positions[i]]`` (``rids[i]`` when
+        ``positions`` is omitted), so row lookups run once per record,
+        not once per entry.
+        """
         count = offset + z * w
         self.ensure(rids, count)
+        groups = self._rows(rids, count)
+        if len(groups) == 1:
+            found, rows, _ = groups[0]
+            window = found.data[:, offset:count]
+        else:
+            # Records read from several classes: copy their windows into
+            # one matrix, then read every entry from it.
+            window = self._gather(rids, offset, count)
+            rows = np.arange(rids.size, dtype=np.int64)
+        if positions is not None:
+            rows = rows[positions]
         # Each table's w values as one opaque item, so the gather copies
         # whole keys instead of indexing value by value.
-        dtype = self._data.dtype
+        dtype = self.family.dtype
         item = np.dtype((np.void, w * dtype.itemsize))
-        by_table = self._data[:, offset:count].view(item)
-        return by_table[rids, tables].view(dtype).reshape(rids.size, w)
+        keys = window.view(item)[rows, tables]
+        return keys.view(dtype).reshape(tables.size, w)

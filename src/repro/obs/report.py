@@ -181,12 +181,15 @@ class RunReport:
             lines += ["", "hash pools:"]
             lines.append(
                 f"  {'pool':<28}{'hashes':>10}{'seconds':>12}"
+                f"{'filled':>12}{'bytes':>14}"
             )
             for pool in self.hash_pools:
                 lines.append(
                     f"  {str(pool.get('name', '?')):<28}"
                     f"{pool.get('hashes_computed', 0):>10}"
                     f"{pool.get('seconds', 0.0):>12.6f}"
+                    f"{pool.get('filled_values', 0):>12}"
+                    f"{pool.get('bytes', 0):>14}"
                 )
         if self.rounds:
             lines += ["", f"rounds (first {min(max_rounds, len(self.rounds))}):"]

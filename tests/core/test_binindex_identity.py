@@ -168,9 +168,12 @@ def _assert_pool_path_matches_rows(scheme, rids):
     )
     tables = np.repeat(np.arange(scheme.table_count), rids.size)
     positions = np.tile(np.arange(rids.size), scheme.table_count)
+    expected = table_words(rows, layout, tables, positions)
     np.testing.assert_array_equal(
-        key_words(scheme, tables, rids[positions]),
-        table_words(rows, layout, tables, positions),
+        key_words(scheme, tables, rids[positions]), expected
+    )
+    np.testing.assert_array_equal(
+        key_words(scheme, tables, rids, positions), expected
     )
 
 

@@ -63,6 +63,9 @@ class TestObservedRun:
         assert any(c["name"] == "round" for c in run_span.get("children", []))
         assert report.hash_pools
         assert report.hash_pools[0]["hashes_computed"] > 0
+        for pool in report.hash_pools:
+            # Size-class rows hold at least the filled values.
+            assert pool["bytes"] >= pool["filled_values"] > 0
 
     def test_report_json_round_trip(self, observed_run):
         method, _, _ = observed_run

@@ -38,7 +38,8 @@ def make_report():
         counters={"rounds": 3, "hashes_computed": 1000},
         cost_model={"level_costs": [1.0, 2.0], "cost_p": 0.5},
         hash_pools=[{"name": "root", "family": "minhash[f]",
-                     "hashes_computed": 1000, "seconds": 0.25}],
+                     "hashes_computed": 1000, "seconds": 0.25,
+                     "bytes": 65536, "filled_values": 1000}],
         info={"selection": "largest"},
     )
 
@@ -97,6 +98,10 @@ class TestTable:
         assert "run: adaLSH" in table
         assert "cost-model residuals" in table
         assert "hash pools" in table
+        pool_row = next(
+            line for line in table.splitlines() if line.startswith("  root")
+        )
+        assert pool_row.split()[-2:] == ["1000", "65536"]
         assert "rounds (first" in table
         assert "histograms:" in table
         assert "H2" in table and "P" in table

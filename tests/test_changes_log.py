@@ -19,3 +19,16 @@ def test_binning_delta_ratio_matches_bench_file():
     assert int(full) == bench["full_regroup_rows"]
     assert float(ratio) == bench["delta_rows_ratio"]
     assert round(int(delta) / int(full), 4) == float(ratio)
+
+
+def test_pool_bytes_match_bench_and_baseline_files():
+    bench = json.loads((ROOT / "BENCH_topk.json").read_text())
+    baseline = json.loads((ROOT / "perf_baseline.json").read_text())
+    quoted = re.findall(
+        r"pool_bytes cora (\d+), spotsigs (\d+) archived",
+        (ROOT / "CHANGES.md").read_text(),
+    )
+    assert len(quoted) == 1
+    for name, value in zip(("cora", "spotsigs"), quoted[0]):
+        assert int(value) == bench["scenarios"][name]["pool_bytes"]
+        assert int(value) == baseline["scenarios"][name]["pool_bytes"]
