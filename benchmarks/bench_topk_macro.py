@@ -1,10 +1,11 @@
 """End-to-end top-k macro benchmark (``make bench-smoke`` / perf gate).
 
-Runs the adaptive method cold on fixed-seed Cora-like and
-SpotSigs-like synthetics and records, per scenario, the wall time plus
-the deterministic work counters ``pairs_compared`` and
-``hashes_computed`` plus ``pool_bytes``, the bytes the signature pools
-hold after the run (read from the run report's hash-pool table).  With
+Runs the adaptive method cold on fixed-seed Cora-like, SpotSigs-like
+and PopularImages-like synthetics (the last one followed by a requery)
+and records, per scenario, the wall time plus the deterministic work
+counters ``pairs_compared`` and ``hashes_computed`` plus
+``pool_bytes``, the bytes the signature pools hold after the run (read
+from the run report's hash-pool table).  With
 ``cost_model="analytic"`` and pinned seeds all three are exact
 functions of the code, so they gate perf regressions the way
 ``analysis_baseline.json`` gates lint findings:
@@ -34,7 +35,8 @@ import time
 from repro.bench import emit_result
 from repro.core.adaptive import AdaptiveLSH
 from repro.core.config import AdaptiveConfig
-from repro.datasets import generate_cora, generate_spotsigs
+from repro.datasets import generate_cora, generate_popular_images, generate_spotsigs
+from repro.datasets.popularimages import TOP1_BY_EXPONENT
 from repro.obs import RunObserver
 
 #: Gated counters (deterministic); ``wall_seconds`` rides along
@@ -45,34 +47,58 @@ GATED_COUNTERS = ("pairs_compared", "hashes_computed", "pool_bytes")
 HISTORY_LIMIT = 20
 
 
+def _images(records: int, seed: int):
+    """PopularImages-like records (cosine rule), entity sizes scaled
+    from the 10k default as in ``benchmarks/conftest.py``.  Its ``P``
+    work is mostly rowwise clusters of up to ``ROWWISE_LIMIT`` records."""
+    ratio = records / 10_000
+    return generate_popular_images(
+        n_records=records,
+        n_popular=max(20, int(500 * ratio)),
+        top1_size=max(10, int(TOP1_BY_EXPONENT[1.05] * ratio)),
+        seed=seed,
+    )
+
+
 def _scenarios(records: int, seed: int):
+    """``(name, dataset, requery)``.  A requery scenario follows the top-k
+    with a top-2k on the same method, and its counters sum both queries:
+    the second one reads the pair memo, so ``pairs_compared`` also gates
+    how ``P`` skips remembered pairs."""
     return [
-        ("cora", generate_cora(n_records=records, seed=seed)),
-        ("spotsigs", generate_spotsigs(n_records=records, seed=seed)),
+        ("cora", generate_cora(n_records=records, seed=seed), False),
+        ("spotsigs", generate_spotsigs(n_records=records, seed=seed), False),
+        ("images", _images(records, seed), True),
     ]
 
 
 def run_scenarios(records: int, seed: int, method_seed: int, k: int):
     out = {}
-    for name, dataset in _scenarios(records, seed):
+    for name, dataset, requery in _scenarios(records, seed):
         config = AdaptiveConfig(seed=method_seed, cost_model="analytic")
+        queries = [k, 2 * k] if requery else [k]
         started = time.perf_counter()
         with AdaptiveLSH(
             dataset.store, dataset.rule, config=config, observer=RunObserver()
         ) as method:
-            result = method.run(k)
+            counters = [method.run(q).counters for q in queries]
         elapsed = time.perf_counter() - started
         assert method.last_report is not None
         pools = method.last_report.hash_pools
+
+        def total(counter: str) -> int:
+            return sum(int(getattr(c, counter)) for c in counters)
+
         out[name] = {
             "records": records,
             "k": k,
+            "queries": queries,
             "wall_seconds": round(elapsed, 4),
-            "pairs_compared": int(result.counters.pairs_compared),
-            "hashes_computed": int(result.counters.hashes_computed),
+            "pairs_compared": total("pairs_compared"),
+            "hashes_computed": total("hashes_computed"),
             "pool_bytes": sum(int(pool["bytes"]) for pool in pools),
-            "pairs_charged": int(result.counters.pairs_charged),
-            "rounds": int(result.counters.rounds),
+            "pairs_charged": total("pairs_charged"),
+            "rounds": total("rounds"),
         }
     return out
 

@@ -34,7 +34,7 @@ from ..obs import DISABLED, RoundEvent, RunObserver, RunReport
 from ..obs.clock import monotonic
 from ..parallel.pool import ExecutionPool, resolve_n_jobs
 from ..records import RecordStore
-from ..rngutil import SeedLike, make_rng
+from ..rngutil import SeedLike, keyed_rng, make_rng, stable_seed
 from ..structures.bin_index import BinIndex
 from ..types import IntArray
 from .budget import exponential_budgets
@@ -123,6 +123,8 @@ class AdaptiveLSH:
         self.epsilon = cfg.epsilon
         self.selection = cfg.selection
         self._rng = make_rng(cfg.seed)
+        #: Seeds the lookahead density samples, keyed per cluster.
+        self._lookahead_seed = stable_seed(cfg.seed)
         self._noise_factor = cfg.noise_factor
         self._analytic_pair_cost = cfg.analytic_pair_cost
         self._cost_model_spec = cfg.cost_model
@@ -272,13 +274,15 @@ class AdaptiveLSH:
         designs: Sequence[SchemeDesign],
         cost_model: CostModel,
         rng: SeedLike = None,
+        lookahead_seed: int | None = None,
     ) -> None:
         """Warm-start: adopt externally rebuilt prepared state.
 
         Used by :meth:`repro.serve.IndexSnapshot.restore` — ``ctx``
         carries pools whose family parameters and signature columns
         were loaded from a snapshot, ``designs`` the captured
-        ``(w, z)`` solutions, and ``rng`` the captured stream position.
+        ``(w, z)`` solutions, ``rng`` the captured stream position and
+        ``lookahead_seed`` the captured density-sample seed.
         After this, :meth:`prepare` is a no-op (no design, no
         calibration, no ``adaLSH.prepare`` span), and :meth:`run` is
         bit-identical to the run the snapshot was captured from.
@@ -292,6 +296,8 @@ class AdaptiveLSH:
         self.cost_model = cost_model
         if rng is not None:
             self._rng = make_rng(rng)
+        if lookahead_seed is not None:
+            self._lookahead_seed = int(lookahead_seed)
         with self.obs.span("adaLSH.restore"):
             self._install_prepared_state()
         self.warm_started = True
@@ -507,19 +513,24 @@ class AdaptiveLSH:
         parts = self._pairwise.apply(rids, counters)
         return [Cluster(part, SOURCE_PAIRWISE) for part in parts]
 
-    def _estimate_density(self, rids: IntArray, counters: WorkCounters) -> float:
+    def _estimate_density(
+        self, rids: IntArray, level: int, counters: WorkCounters
+    ) -> float:
         """Sampled match density of a cluster (Appendix D.2 lookahead).
 
         Draws up to ``lookahead_samples`` random record pairs and
         returns the fraction that match; sampled comparisons are
-        charged to the work counters like any pairwise work.
+        charged to the work counters like any pairwise work.  The
+        sample is seeded from the cluster itself (level, size, smallest
+        rid), so the decision does not depend on the queries before it.
         """
         m = rids.size
         samples = min(self._lookahead_samples, m * (m - 1) // 2)
         if samples <= 0:
             return 1.0
-        left = rids[self._rng.integers(0, m, size=samples)]
-        right = rids[self._rng.integers(0, m, size=samples)]
+        rng = keyed_rng(self._lookahead_seed, level, m, int(rids.min()))
+        left = rids[rng.integers(0, m, size=samples)]
+        right = rids[rng.integers(0, m, size=samples)]
         distinct = left != right
         if not distinct.any():
             return 1.0
@@ -560,7 +571,7 @@ class AdaptiveLSH:
         if self.cost_model.pairwise_cost(cluster.size) >= remaining_ladder:
             return False
         return (
-            self._estimate_density(cluster.rids, counters)
+            self._estimate_density(cluster.rids, level, counters)
             >= self._lookahead_density
         )
 

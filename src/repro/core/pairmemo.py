@@ -60,6 +60,11 @@ _INITIAL_CAPACITY = 1 << 12
 _LOAD_NUM, _LOAD_DEN = 3, 5
 #: Slot sentinel for "empty" (valid keys are non-negative).
 _EMPTY = np.int64(-1)
+#: Probes settle keys in vectorized rounds until at most this many are
+#: left; those walk their chains one key at a time.  A round costs
+#: about as much as a dozen scalar probe steps, and the batch's longest
+#: chain (often tens of slots) would otherwise set the round count.
+_SCALAR_TAIL = 16
 #: Fibonacci-hashing multiplier (splitmix64 finalizer constant).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -225,20 +230,35 @@ class PairVerdictMemo:
         out = np.empty(keys.size, dtype=np.int64)
         pending = np.arange(keys.size)
         table = self._keys
-        while pending.size:
+        while pending.size > _SCALAR_TAIL:
             cur = idx[pending]
             occupant = table[cur]
             done = (occupant == keys[pending]) | (occupant == _EMPTY)
             out[pending[done]] = cur[done]
             pending = pending[~done]
             idx[pending] = (idx[pending] + 1) & mask
+        for p in pending.tolist():
+            out[p] = self._probe_one(int(keys[p]), int(idx[p]), mask)
         return out
 
-    def lookup(self, keys: IntArray) -> np.ndarray[Any, np.dtype[np.uint8]]:
+    def _probe_one(self, key: int, slot: int, mask: int) -> int:
+        """Scalar probe: the slot holding ``key`` or ending its probe."""
+        table = self._keys
+        while True:
+            occupant = table[slot]
+            if occupant == key or occupant == _EMPTY:
+                return slot
+            slot = (slot + 1) & mask
+
+    def lookup(
+        self, keys: IntArray, *, count: bool = True
+    ) -> np.ndarray[Any, np.dtype[np.uint8]]:
         """Remembered verdicts for packed pair ``keys``.
 
         Returns one code per key: :data:`MATCH`, :data:`NO_MATCH`, or
-        :data:`UNKNOWN` for pairs never recorded.
+        :data:`UNKNOWN` for pairs never recorded.  ``count=False``
+        leaves the hit/miss counters alone, for a caller that reads
+        ahead and reports the verdicts it used through :meth:`tally`.
         """
         if self.disabled or keys.size == 0:
             return np.zeros(keys.size, dtype=np.uint8)
@@ -246,9 +266,15 @@ class PairVerdictMemo:
         verdicts: np.ndarray[Any, np.dtype[np.uint8]] = np.where(
             self._keys[slots] == keys, self._verdicts[slots], UNKNOWN
         )
-        hits = int(np.count_nonzero(verdicts))
-        self._record_counts(hits, int(keys.size) - hits, 0)
+        if count:
+            hits = int(np.count_nonzero(verdicts))
+            self._record_counts(hits, int(keys.size) - hits, 0)
         return verdicts
+
+    def tally(self, hits: int, misses: int) -> None:
+        """Count verdicts served and missed by an uncounted lookup."""
+        if not self.disabled:
+            self._record_counts(hits, misses, 0)
 
     def record(self, keys: IntArray, matched: BoolArray) -> None:
         """Remember fresh verdicts: ``matched[i]`` for pair ``keys[i]``.
@@ -298,16 +324,23 @@ class PairVerdictMemo:
     ) -> None:
         """Batch insert via scatter-and-verify linear probing.
 
-        Several distinct keys may race for the same empty slot within
-        one batch; the scatter write lets the last one win, the
-        re-read identifies winners, and losers re-probe from the next
-        slot.  Each round settles at least one key, so the loop
-        terminates.
+        The batch is deduplicated first (the last verdict of a repeated
+        key wins, as a sequence of single inserts would leave it), so
+        every slot a round fills holds a different key and counts as
+        one new pair.  Several distinct keys may race for the same
+        empty slot within one round; the scatter write lets the last
+        one win, the re-read identifies winners, and losers re-probe
+        from the next slot.  Each round settles at least one key, so
+        the loop terminates.
         """
+        if keys.size > 1:
+            last = keys.size - 1 - np.unique(keys[::-1], return_index=True)[1]
+            if last.size < keys.size:
+                keys, verdicts = keys[last], verdicts[last]
         mask = self.capacity - 1
         idx = _probe_start(keys, mask)
         pending = np.arange(keys.size)
-        while pending.size:
+        while pending.size > _SCALAR_TAIL:
             cur = idx[pending]
             occupant = self._keys[cur]
             empty = occupant == _EMPTY
@@ -315,11 +348,17 @@ class PairVerdictMemo:
             self._keys[cur[empty]] = keys[claim]
             won = self._keys[cur] == keys[pending]
             self._verdicts[cur[won]] = verdicts[pending[won]]
-            # Count distinct newly-filled slots: duplicate keys in one
-            # batch all "win" the same slot but fill it only once.
-            self._pairs += int(np.unique(cur[won & empty]).size)
+            self._pairs += int(np.count_nonzero(won & empty))
             pending = pending[~won]
             idx[pending] = (idx[pending] + 1) & mask
+        # The last few keys go one at a time, so no race remains.
+        for p in pending.tolist():
+            key = int(keys[p])
+            slot = self._probe_one(key, int(idx[p]), mask)
+            if self._keys[slot] == _EMPTY:
+                self._keys[slot] = key
+                self._pairs += 1
+            self._verdicts[slot] = verdicts[p]
 
     # ------------------------------------------------------------------
     # accounting

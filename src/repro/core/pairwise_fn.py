@@ -17,12 +17,16 @@ share the same semantics:
   the parallel result is bit-identical to the serial one.
 
 Both strategies consult an optional
-:class:`~repro.core.pairmemo.PairVerdictMemo`: the rowwise path skips
-candidates whose verdict is already remembered, and the blocked path
-masks memoized cells out of the matrix evaluations, merging the
-remembered match edges back in exact ``np.nonzero`` enumeration order
-— so cluster content and leaf order stay bit-identical to the
-memo-off computation for every strategy and every ``n_jobs``.
+:class:`~repro.core.pairmemo.PairVerdictMemo`.  The rowwise path makes
+one round trip per input: a single lookup of every unordered pair
+before the row loop, which then compares only the candidates whose
+verdict is unknown, and a single record of the fresh verdicts after
+it.  Without a memo every verdict reads as unknown, so the memo-off
+computation runs the same loop.  The blocked path masks memoized cells
+out of the matrix evaluations, merging the remembered match edges back
+in exact ``np.nonzero`` enumeration order — so cluster content and leaf
+order stay bit-identical to the memo-off computation for every
+strategy and every ``n_jobs``.
 
 The cost model always charges the conservative ``C(|S|, 2)`` pairs
 (``pairs_charged``); ``pairs_compared`` records the evaluations the
@@ -32,6 +36,7 @@ pairs cost (and count) nothing.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -69,6 +74,15 @@ BLOCK = 512
 _CROSS_CELL_CHUNK = 1 << 21
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _triangle(m: int) -> tuple[IntArray, IntArray]:
+    """Row-major ``(i, j)`` indices of the ``i < j`` pairs of ``m``
+    records (cached: rowwise inputs come in a handful of sizes)."""
+    tri_i, tri_j = np.triu_indices(m, k=1)
+    tri_i.flags.writeable = tri_j.flags.writeable = False
+    return tri_i, tri_j
 
 
 def _vertex_cover(edge_i: IntArray, edge_j: IntArray, n: int) -> IntArray:
@@ -240,15 +254,34 @@ class PairwiseComputation:
     def _apply_rowwise(
         self, rids: IntArray, counters: WorkCounters | None
     ) -> list[IntArray]:
+        """Row loop with transitive skipping, one memo round trip.
+
+        Every unordered pair's remembered verdict is read in one
+        uncounted lookup before the loop, and the fresh verdicts are
+        recorded in one batch after it.  The loop visits each pair at
+        most once, so reading ahead sees exactly what a per-row lookup
+        would have seen; hits and misses are tallied only for the pairs
+        the loop consults.  Without an active memo every verdict reads
+        as :data:`~repro.core.pairmemo.UNKNOWN`.
+        """
         memo = self._active_memo()
+        m = int(rids.size)
         forest = ParentPointerForest()
         int_rids: list[int] = rids.tolist()
         for rid in int_rids:
             forest.make_singleton(rid)
-        compared = 0
-        for j in range(1, len(int_rids)):
+        # verdicts[j, i] (i < j): the pair's verdict, remembered or
+        # fresh; row j is what the loop reads for record j.
+        verdicts = np.zeros((m, m), dtype=np.uint8)
+        if memo is not None:
+            tri_i, tri_j = _triangle(m)
+            keys = pack_pair_keys(rids[tri_i], rids[tri_j])
+            remembered = memo.lookup(keys, count=False)
+            verdicts[tri_j, tri_i] = remembered
+        consulted = compared = 0
+        for j in range(1, m):
             rid_j = int_rids[j]
-            rid_j_arr = np.asarray(rid_j, dtype=np.int64)
+            row = verdicts[j]
             for lo in range(0, j, self._ROW_CHUNK):
                 hi = min(lo + self._ROW_CHUNK, j)
                 root_j = forest.find_root(rid_j)
@@ -261,30 +294,29 @@ class PairwiseComputation:
                 ]
                 if not pending:
                     continue
-                candidates = rids[pending]
-                if memo is not None:
-                    keys = pack_pair_keys(rid_j_arr, candidates)
-                    verdicts = memo.lookup(keys)
-                    unknown = np.nonzero(verdicts == UNKNOWN)[0]
-                    if unknown.size:
-                        fresh = np.asarray(
-                            self.rule.match_one_to_many(
-                                self.store, rid_j, candidates[unknown]
-                            ),
-                            dtype=bool,
-                        )
-                        compared += int(unknown.size)
-                        memo.record(keys[unknown], fresh)
-                        verdicts[unknown] = np.where(fresh, MATCH, NO_MATCH)
-                    matches = verdicts == MATCH
-                else:
-                    matches = self.rule.match_one_to_many(
-                        self.store, rid_j, candidates
+                consulted += len(pending)
+                known = row[pending]
+                unknown = np.nonzero(known == UNKNOWN)[0]
+                if unknown.size:
+                    targets = np.asarray(pending)[unknown]
+                    fresh = np.asarray(
+                        self.rule.match_one_to_many(
+                            self.store, rid_j, rids[targets]
+                        ),
+                        dtype=bool,
                     )
-                    compared += len(pending)
-                for idx, hit in zip(pending, matches):
+                    compared += int(unknown.size)
+                    known[unknown] = np.where(fresh, MATCH, NO_MATCH)
+                    row[targets] = known[unknown]
+                for idx, hit in zip(pending, (known == MATCH).tolist()):
                     if hit:
                         forest.union_records(rid_j, int_rids[idx])
+        if memo is not None and consulted:
+            memo.tally(consulted - compared, compared)
+            if compared:
+                final = verdicts[tri_j, tri_i]
+                fresh_pairs = (remembered == UNKNOWN) & (final != UNKNOWN)
+                memo.record(keys[fresh_pairs], final[fresh_pairs] == MATCH)
         if counters is not None:
             counters.pairs_compared += compared
         return [

@@ -24,9 +24,10 @@ module makes the bucket work cheap and incremental too:
 * **Distinct edges** — the level's ``(head, member)`` union edges keep
   only their first occurrence; a repeated edge is a union no-op, so the
   clusters, their leaf order and their emission order are unchanged.
-* **Fingerprint persistence** — each :class:`LevelBins` caches the
-  ``(n_records, n_tables)`` fingerprint matrix under a byte budget;
-  over budget means "compute, don't store", never "fail".
+* **Fingerprint persistence** — each level caches the ``(n_records,
+  n_tables)`` fingerprint matrix under a byte budget, shared by every
+  :class:`LevelBins` view of it; over budget means "compute, don't
+  store", never "fail".
 * **Delta candidate generation** — :class:`H1DeltaIndex` keeps the
   first level's per-table ``(fingerprint, rid)`` arrays sorted across
   insert batches.  A new batch merge-inserts its keys and emits
@@ -343,19 +344,29 @@ def distinct_edges(
 
 
 # ----------------------------------------------------------------------
+class _LevelState:
+    """One level's persistent fingerprints.  The owner keeps these, not
+    the :class:`LevelBins` views that point back at it, so a dropped
+    method's matrices are freed at once rather than by the cyclic
+    garbage collector."""
+
+    def __init__(self) -> None:
+        #: False until the first application sized (or declined) the
+        #: fingerprint matrix against the byte budget.
+        self.sized = False
+        self.fps: AnyArray | None = None
+        self.have: BoolArray = np.zeros(0, dtype=bool)
+
+
 class LevelBins:
     """One sequence level's persistent fingerprint matrix plus the
     level-at-once grouping used by
     :class:`~repro.core.transitive.TransitiveHashingFunction`."""
 
-    def __init__(self, owner: SchemeBinIndex, level: int) -> None:
+    def __init__(self, owner: SchemeBinIndex, level: int, state: _LevelState) -> None:
         self._owner = owner
         self.level = level
-        #: False until the first application sized (or declined) the
-        #: fingerprint matrix against the byte budget.
-        self._sized = False
-        self._fps: AnyArray | None = None
-        self._have: BoolArray = np.zeros(0, dtype=bool)
+        self._state = state
 
     def fingerprints(self, scheme: HashingScheme, rids: IntArray) -> AnyArray:
         """Per-table fingerprints for ``rids``: ``(len(rids),
@@ -366,28 +377,29 @@ class LevelBins:
         the byte budget allows.
         """
         owner = self._owner
-        if not self._sized:
-            self._sized = True
+        state = self._state
+        if not state.sized:
+            state.sized = True
             n_tables = scheme.table_count
             if owner.reserve(owner.n_records * (n_tables * 8 + 1)):
-                self._fps = np.zeros(
+                state.fps = np.zeros(
                     (owner.n_records, n_tables), dtype=np.uint64
                 )
-                self._have = np.zeros(owner.n_records, dtype=bool)
+                state.have = np.zeros(owner.n_records, dtype=bool)
             else:
                 owner.degraded += 1
-        if self._fps is None:
+        if state.fps is None:
             # Over the byte budget: stay a pass-through.
             owner.record_fp(0, int(rids.size))
             return table_fingerprints(scheme, rids)
-        known = self._have[rids]
+        known = state.have[rids]
         hits = int(known.sum())
         if hits < rids.size:
             missing = rids[~known]
-            self._fps[missing] = table_fingerprints(scheme, missing)
-            self._have[missing] = True
+            state.fps[missing] = table_fingerprints(scheme, missing)
+            state.have[missing] = True
         owner.record_fp(hits, int(rids.size) - hits)
-        return self._fps[rids]
+        return state.fps[rids]
 
     def edges(
         self, scheme: HashingScheme, rids: IntArray
@@ -437,7 +449,7 @@ class SchemeBinIndex:
         self.n_records = int(n_records)
         self.max_bytes = int(max_bytes)
         self._reserved = 0
-        self._levels: dict[int, LevelBins] = {}
+        self._levels: dict[int, _LevelState] = {}
         #: Optional :class:`~repro.obs.observer.RunObserver`; when set
         #: and enabled, grouping work feeds ``binindex.*`` counters.
         self.observer: RunObserver | None = None
@@ -455,10 +467,10 @@ class SchemeBinIndex:
         self.degraded = 0
 
     def level(self, level: int) -> LevelBins:
-        """The (lazily created) bin index of one sequence level."""
-        if level not in self._levels:
-            self._levels[level] = LevelBins(self, level)
-        return self._levels[level]
+        """The bin index of one sequence level; every view of a level
+        shares its (lazily created) fingerprints."""
+        state = self._levels.setdefault(level, _LevelState())
+        return LevelBins(self, level, state)
 
     def reserve(self, nbytes: int) -> bool:
         """Try to claim ``nbytes`` of the byte budget."""

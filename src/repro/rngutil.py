@@ -35,6 +35,24 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def stable_seed(seed: SeedLike) -> int:
+    """A non-negative integer standing for ``seed``.
+
+    An integer seed is its own value.  Anything else contributes one
+    draw from a *copy* of the generator :func:`make_rng` would return,
+    so a caller's stream is never advanced.
+    """
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return int(copy.deepcopy(make_rng(seed)).integers(0, 2**63 - 1))
+
+
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """A generator fixed by ``seed`` and the integers ``key`` alone, so
+    the same key always draws the same stream, whatever ran before."""
+    return np.random.default_rng([int(seed), *(int(k) for k in key)])
+
+
 def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
     """Derive ``count`` independent child generators from ``rng``.
 

@@ -144,6 +144,7 @@ class IndexSnapshot:
             "layouts": [fn.scheme.layout_spec() for fn in method._functions],
             "cost_model": method.cost_model.to_dict(),
             "rng": rng_state(method._rng),
+            "lookahead_seed": method._lookahead_seed,
             "pools": pools_meta,
         }
         return cls(header, arrays)
@@ -267,7 +268,11 @@ class IndexSnapshot:
             scheme_design_from_spec(spec, ctx) for spec in header["designs"]
         ]
         method.adopt_prepared_state(
-            ctx, designs, cost_model, rng=rng_from_state(header["rng"])
+            ctx,
+            designs,
+            cost_model,
+            rng=rng_from_state(header["rng"]),
+            lookahead_seed=header.get("lookahead_seed"),
         )
         layouts = [fn.scheme.layout_spec() for fn in method._functions]
         if layouts != header["layouts"]:

@@ -21,7 +21,10 @@ class BinIndex(Generic[T]):
 
     def __init__(self) -> None:
         # 64 bins cover any cluster size that fits in a machine word.
-        self._bins: list[list[tuple[int, T]]] = [[] for _ in range(64)]
+        # Each bin keeps its items and their sizes in parallel lists, so
+        # the largest is found by a C-level max over plain ints.
+        self._items: list[list[T]] = [[] for _ in range(64)]
+        self._sizes: list[list[int]] = [[] for _ in range(64)]
         self._count = 0
 
     @staticmethod
@@ -32,7 +35,9 @@ class BinIndex(Generic[T]):
 
     def add(self, item: T, size: int) -> None:
         """File ``item`` under ``size``."""
-        self._bins[self._bin_of(size)].append((size, item))
+        b = self._bin_of(size)
+        self._items[b].append(item)
+        self._sizes[b].append(size)
         self._count += 1
 
     def __len__(self) -> int:
@@ -42,26 +47,26 @@ class BinIndex(Generic[T]):
         return self._count > 0
 
     def _last_nonempty(self) -> int:
-        for b in range(len(self._bins) - 1, -1, -1):
-            if self._bins[b]:
+        for b in range(len(self._sizes) - 1, -1, -1):
+            if self._sizes[b]:
                 return b
         raise IndexError("pop from empty BinIndex")
 
     def peek_largest_size(self) -> int:
         """Size of the largest stored item (without removing it)."""
-        b = self._last_nonempty()
-        return max(size for size, _item in self._bins[b])
+        return max(self._sizes[self._last_nonempty()])
 
     def pop_largest(self) -> tuple[int, T]:
         """Remove and return ``(size, item)`` for the largest item."""
         b = self._last_nonempty()
-        bucket = self._bins[b]
-        best = max(range(len(bucket)), key=lambda i: bucket[i][0])
+        items = self._items[b]
+        sizes = self._sizes[b]
+        best = sizes.index(max(sizes))
         # Swap-pop keeps removal O(1) within the bin.
-        bucket[best], bucket[-1] = bucket[-1], bucket[best]
-        size, item = bucket.pop()
+        items[best], items[-1] = items[-1], items[best]
+        sizes[best], sizes[-1] = sizes[-1], sizes[best]
         self._count -= 1
-        return size, item
+        return sizes.pop(), items.pop()
 
     def drain(self) -> Iterator[tuple[int, T]]:
         """Yield all remaining ``(size, item)`` pairs, largest first."""

@@ -79,3 +79,44 @@ class TestWorkProfile:
             look.counters.hashes_computed
             <= line5.counters.hashes_computed * 1.2 + 1000
         )
+
+
+class TestHistoryIndependence:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_requery_equals_fresh_run(self, seed):
+        """The density sample is keyed by the cluster, not drawn from a
+        stream the earlier queries advanced: ``run(10); run(20)`` returns
+        a fresh ``run(20)``'s cluster arrays, in its order, after the
+        same number of rounds."""
+        from repro.datasets import generate_cora
+
+        dataset = generate_cora(n_records=3000, seed=seed)
+        config = AdaptiveConfig(
+            seed=seed, cost_model="analytic", jump_policy="lookahead"
+        )
+        with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
+            method.run(10)
+            requery = method.run(20)
+        with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
+            fresh = method.run(20)
+        assert len(requery.clusters) == len(fresh.clusters)
+        for got, want in zip(requery.clusters, fresh.clusters):
+            assert got.rids.tobytes() == want.rids.tobytes()
+        assert requery.counters.rounds == fresh.counters.rounds
+
+    def test_snapshot_restore_keeps_density_seed(self):
+        """A restored method samples with the captured seed, so its
+        lookahead decisions match the method it was captured from."""
+        from repro.serve import IndexSnapshot
+
+        store, _ = make_vector_store(seed=55)
+        method = make_method(store, "lookahead")
+        method.prepare()
+        restored = IndexSnapshot.capture(method).restore(store)
+        assert restored._lookahead_seed == method._lookahead_seed
+        expected = method.run(3)
+        actual = restored.run(3)
+        assert [c.rids.tolist() for c in actual.clusters] == [
+            c.rids.tolist() for c in expected.clusters
+        ]
+        assert actual.counters.rounds == expected.counters.rounds

@@ -111,6 +111,39 @@ class TestLookupRecord:
         memo.record(key, np.array([True, True]))
         assert memo.pairs == 1
 
+    @pytest.mark.parametrize("distinct", [1, 5, 40, 300])
+    def test_insert_counts_each_new_pair_once(self, distinct):
+        """``_insert`` on a batch that repeats keys (vectorized rounds
+        for the large batches, the scalar tail for the small ones)
+        fills one slot per new key, leaves present keys uncounted and
+        keeps the last verdict of a repeated key."""
+        memo = PairVerdictMemo()
+        rng = np.random.default_rng(distinct)
+        a = np.arange(distinct, dtype=np.int64)
+        unique_keys = pack_pair_keys(a, a + 1000)
+        memo.record(unique_keys[:1], np.array([True]))
+        batch = unique_keys[rng.integers(0, distinct, size=3 * distinct + 2)]
+        verdicts = rng.choice([NO_MATCH, MATCH], size=batch.size).astype(np.uint8)
+        memo._insert(batch, verdicts)
+        seen = np.unique(batch)
+        assert memo.pairs == 1 + np.count_nonzero(seen != unique_keys[0])
+        last = {int(k): int(v) for k, v in zip(batch, verdicts)}
+        got = memo.lookup(seen)
+        assert got.tolist() == [last[int(k)] for k in seen]
+
+    def test_uncounted_lookup_and_tally(self):
+        memo = PairVerdictMemo()
+        keys = pack_pair_keys(
+            np.arange(4, dtype=np.int64), np.arange(4, 8, dtype=np.int64)
+        )
+        memo.record(keys[:2], np.array([True, False]))
+        assert memo.lookup(keys, count=False).tolist() == [
+            MATCH, NO_MATCH, UNKNOWN, UNKNOWN
+        ]
+        assert memo.hits == memo.misses == 0
+        memo.tally(3, 1)
+        assert memo.hits == 3 and memo.misses == 1
+
     def test_growth_preserves_verdicts(self):
         memo = PairVerdictMemo()
         n = 20_000  # far beyond the initial 4096-slot capacity

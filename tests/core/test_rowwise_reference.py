@@ -1,0 +1,120 @@
+"""The rowwise ``P`` with one memo round trip per cluster reproduces the
+per-chunk oracle (``tests/core/reference_pairwise.py``) exactly: cluster
+bytes (content and leaf order), ``pairs_compared`` and the memo's
+``hits``/``misses``/``pairs``/``evictions``, with no memo, a memo seeded
+with any subset of the cluster's verdicts, a frozen memo and a disabled
+memo."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.pairmemo import PairVerdictMemo, pack_pair_keys
+from repro.core.pairwise_fn import PairwiseComputation
+from repro.core.result import WorkCounters
+from repro.distance import CosineDistance, JaccardDistance, ThresholdRule
+from tests.conftest import make_shingle_store, make_vector_store
+from tests.core.reference_pairwise import reference_apply_rowwise
+
+# Planted clusters plus noise, so a random draw of up to 12 records
+# mixes matches, non-matches and transitive links.
+_VECTOR, _ = make_vector_store(cluster_sizes=(7, 5, 4), n_noise=8, seed=11)
+_SHINGLES, _ = make_shingle_store(cluster_sizes=(7, 5, 4), n_noise=8, seed=12)
+CASES = {
+    "vector": (_VECTOR, ThresholdRule(CosineDistance("vec"), 0.08)),
+    "shingles": (_SHINGLES, ThresholdRule(JaccardDistance("shingles"), 0.45)),
+}
+MEMO_MODES = ("none", "seeded", "frozen", "disabled")
+
+
+def _memo(mode, store, rule, rids, seeded):
+    """A fresh memo in ``mode``; ``seeded`` masks the cluster's
+    unordered pairs whose true verdicts are remembered up front."""
+    if mode == "none":
+        return None
+    memo = PairVerdictMemo(max_bytes=1 if mode == "frozen" else 64 << 20)
+    memo.bind(store, rule)
+    tri_i, tri_j = np.triu_indices(rids.size, k=1)
+    a, b = rids[tri_i[seeded]], rids[tri_j[seeded]]
+    memo.record(pack_pair_keys(a, b), rule.match_pairs(store, a, b))
+    if mode == "frozen":
+        # More pairs than the initial table holds under its load
+        # ceiling: the one-byte budget forbids the growth, so the memo
+        # freezes and drops them all.
+        filler = np.arange(1 << 20, (1 << 20) + 3000, dtype=np.int64)
+        memo.record(pack_pair_keys(filler, filler + 5000), np.ones(3000, bool))
+        assert memo.frozen
+    if mode == "disabled":
+        memo.disabled = True
+    return memo
+
+
+def _memo_counts(memo):
+    if memo is None:
+        return None
+    return memo.hits, memo.misses, memo.pairs, memo.evictions
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CASES)),
+    mode=st.sampled_from(MEMO_MODES),
+    chunk=st.sampled_from((16, 3, 1)),
+    data=st.data(),
+)
+def test_rowwise_matches_per_chunk_reference(kind, mode, chunk, data):
+    store, rule = CASES[kind]
+    picked = data.draw(
+        st.lists(
+            st.integers(0, len(store) - 1), min_size=2, max_size=12, unique=True
+        ),
+        label="rids",
+    )
+    rids = np.asarray(picked, dtype=np.int64)
+    n_pairs = rids.size * (rids.size - 1) // 2
+    seeded = np.asarray(
+        data.draw(
+            st.lists(st.booleans(), min_size=n_pairs, max_size=n_pairs),
+            label="seeded",
+        ),
+        dtype=bool,
+    )
+    runs = []
+    for apply in (reference_apply_rowwise, PairwiseComputation._apply_rowwise):
+        memo = _memo(mode, store, rule, rids, seeded)
+        computation = PairwiseComputation(store, rule, strategy="rowwise", memo=memo)
+        # A narrower chunk re-evaluates skipping mid-row.
+        computation._ROW_CHUNK = chunk
+        counters = WorkCounters()
+        clusters = apply(computation, rids.copy(), counters)
+        runs.append((clusters, counters.pairs_compared, _memo_counts(memo)))
+    (expected, expected_compared, expected_memo), (actual, compared, memo_counts) = runs
+    assert len(actual) == len(expected)
+    for want, got in zip(expected, actual):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert compared == expected_compared
+    assert memo_counts == expected_memo
+
+
+def test_warm_memo_cluster_compares_nothing():
+    """A cluster whose every pair is remembered makes no comparison and
+    counts one hit per pair the loop consults, exactly as the oracle."""
+    store, rule = CASES["vector"]
+    rids = np.arange(12, dtype=np.int64)
+    seeded = np.ones(66, dtype=bool)
+    memos = [_memo("seeded", store, rule, rids, seeded) for _ in range(2)]
+    ref_counters, counters = WorkCounters(), WorkCounters()
+    reference_apply_rowwise(
+        PairwiseComputation(store, rule, strategy="rowwise", memo=memos[0]),
+        rids,
+        ref_counters,
+    )
+    PairwiseComputation(store, rule, strategy="rowwise", memo=memos[1]).apply(
+        rids, counters
+    )
+    assert counters.pairs_compared == ref_counters.pairs_compared == 0
+    assert memos[1].misses == memos[0].misses == 0
+    assert memos[1].hits == memos[0].hits > 0

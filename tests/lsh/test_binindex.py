@@ -368,6 +368,27 @@ class TestBudgetDegradation:
         assert owner.tables_grouped == 2 * scheme.table_count
         assert owner.rows_grouped == 2 * scheme.table_count * len(store)
 
+    def test_dropped_index_frees_fingerprints_without_gc(self, h1_scheme):
+        """No reference cycle holds a level's fingerprint matrix: once
+        the index and its level views are dropped, the matrix is freed
+        by reference counting alone, with the cyclic collector off."""
+        import gc
+        import weakref
+
+        store, scheme = h1_scheme
+        rids = np.arange(len(store), dtype=np.int64)
+        gc.disable()
+        try:
+            owner = SchemeBinIndex(len(store))
+            view = owner.level(1)
+            view.fingerprints(scheme, rids)
+            matrix = weakref.ref(owner._levels[1].fps)
+            assert matrix() is not None
+            del owner, view
+            assert matrix() is None
+        finally:
+            gc.enable()
+
     def test_level_groups_match_legacy_on_real_scheme(self, h1_scheme):
         store, scheme = h1_scheme
         rng = np.random.default_rng(11)

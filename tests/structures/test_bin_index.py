@@ -87,3 +87,42 @@ def test_drains_in_sorted_order(sizes):
         s for s, _ in drained
     ]
     assert sorted(i for _, i in drained) == list(range(len(sizes)))
+
+
+class _TupleBinIndex:
+    """The previous implementation: ``(size, item)`` tuples per bin and
+    a keyed ``max`` over the bin on every pop.  Kept as the pop-order
+    oracle — ``rounds`` and every counter depend on that order."""
+
+    def __init__(self):
+        self._bins = [[] for _ in range(64)]
+
+    def add(self, item, size):
+        self._bins[size.bit_length() - 1].append((size, item))
+
+    def pop_largest(self):
+        bucket = next(b for b in reversed(self._bins) if b)
+        best = max(range(len(bucket)), key=lambda i: bucket[i][0])
+        bucket[best], bucket[-1] = bucket[-1], bucket[best]
+        return bucket.pop()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(st.integers(1, 40), st.just(0)), min_size=1, max_size=120
+    )
+)
+def test_pop_order_matches_tuple_implementation(ops):
+    """Random add/pop sequences (0 = pop, n = add an item of size n; small
+    sizes force many ties) pop the same ``(size, item)`` sequence as the
+    tuple-and-lambda implementation, ties included."""
+    bins, oracle = BinIndex(), _TupleBinIndex()
+    for serial, op in enumerate(ops):
+        if op:
+            bins.add(serial, op)
+            oracle.add(serial, op)
+        elif bins:
+            assert bins.pop_largest() == oracle.pop_largest()
+    while bins:
+        assert bins.pop_largest() == oracle.pop_largest()

@@ -32,3 +32,18 @@ def test_pool_bytes_match_bench_and_baseline_files():
     for name, value in zip(("cora", "spotsigs"), quoted[0]):
         assert int(value) == bench["scenarios"][name]["pool_bytes"]
         assert int(value) == baseline["scenarios"][name]["pool_bytes"]
+
+
+def test_images_counters_match_bench_and_baseline_files():
+    bench = json.loads((ROOT / "BENCH_topk.json").read_text())
+    baseline = json.loads((ROOT / "perf_baseline.json").read_text())
+    quoted = re.findall(
+        r"images scenario pairs_compared (\d+), hashes_computed (\d+), "
+        r"pool_bytes (\d+) archived",
+        (ROOT / "CHANGES.md").read_text(),
+    )
+    assert len(quoted) == 1
+    names = ("pairs_compared", "hashes_computed", "pool_bytes")
+    for name, value in zip(names, quoted[0]):
+        assert int(value) == bench["scenarios"]["images"][name]
+        assert int(value) == baseline["scenarios"]["images"][name]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.rngutil import make_rng, spawn
+from repro.rngutil import keyed_rng, make_rng, spawn, stable_seed
 
 
 class TestMakeRng:
@@ -55,3 +55,29 @@ class TestSpawn:
         a = make_rng(np.random.SeedSequence(5)).integers(1 << 30)
         b = make_rng(np.random.SeedSequence(5)).integers(1 << 30)
         assert a == b
+
+
+class TestStableSeed:
+    def test_int_is_its_own_seed(self):
+        assert stable_seed(7) == 7
+        assert stable_seed(np.int64(7)) == 7
+
+    def test_generator_is_not_advanced(self):
+        rng = np.random.default_rng(5)
+        twin = np.random.default_rng(5)
+        assert stable_seed(rng) == stable_seed(rng)
+        assert rng.integers(1 << 30) == twin.integers(1 << 30)
+
+
+class TestKeyedRng:
+    def test_same_key_same_stream(self):
+        a = keyed_rng(3, 1, 40, 17).integers(0, 1 << 30, size=8)
+        b = keyed_rng(3, 1, 40, 17).integers(0, 1 << 30, size=8)
+        assert np.array_equal(a, b)
+
+    def test_key_parts_matter(self):
+        base = keyed_rng(3, 1, 40, 17).integers(0, 1 << 30, size=8)
+        for key in ((4, 1, 40, 17), (3, 2, 40, 17), (3, 1, 41, 17), (3, 1, 40, 18)):
+            assert not np.array_equal(
+                keyed_rng(*key).integers(0, 1 << 30, size=8), base
+            )
