@@ -58,7 +58,6 @@ bench-smoke:
 	python benchmarks/parallel_smoke.py --out BENCH_parallel.json
 	python benchmarks/serve_smoke.py --out BENCH_serve.json
 	python benchmarks/bench_memo.py --out BENCH_memo.json
-	python benchmarks/bench_binning.py --out BENCH_binning.json
 	python benchmarks/bench_topk_macro.py --out BENCH_topk.json
 
 bench-full:

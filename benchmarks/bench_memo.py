@@ -5,9 +5,10 @@ Replays the motivating multi-round scenario for
 :class:`~repro.online.StreamingTopK` in batches, with a ``top_k`` query
 after every batch.  Consecutive queries re-refine mostly-unchanged
 clusters, so without memoization the same record pairs are re-verified
-query after query.  The benchmark runs the scenario twice — memo off,
-memo on — verifies the outputs are bit-identical, and writes the
-``pairs_compared`` totals to ``BENCH_memo.json``.
+query after query.  The benchmark runs the scenario twice — memo off
+(a zero byte budget, which remembers nothing), memo on — verifies the
+outputs are bit-identical, and writes the ``pairs_compared`` totals to
+``BENCH_memo.json``.
 
 Fails (exit 1) if the outputs differ or the memoized run saves less
 than ``--min-reduction`` (default 30%) of the pair comparisons.
@@ -26,8 +27,10 @@ from repro.datasets import generate_cora
 from repro.online import StreamingTopK
 
 
-def _run(dataset, k, batches, *, seed, pair_memo):
-    config = AdaptiveConfig(seed=seed, cost_model="analytic", pair_memo=pair_memo)
+def _run(dataset, k, batches, *, seed, pair_memo_bytes):
+    config = AdaptiveConfig(
+        seed=seed, cost_model="analytic", pair_memo_bytes=pair_memo_bytes
+    )
     stream = StreamingTopK(dataset.store, dataset.rule, config=config)
     per_query = []
     outputs = []
@@ -66,10 +69,14 @@ def main(argv=None) -> int:
     batches = np.array_split(rids, args.batches)
 
     off, off_outputs = _run(
-        dataset, args.k, batches, seed=args.method_seed, pair_memo=False
+        dataset, args.k, batches, seed=args.method_seed, pair_memo_bytes=0
     )
     on, on_outputs = _run(
-        dataset, args.k, batches, seed=args.method_seed, pair_memo=True
+        dataset,
+        args.k,
+        batches,
+        seed=args.method_seed,
+        pair_memo_bytes=AdaptiveConfig().pair_memo_bytes,
     )
 
     identical = off_outputs == on_outputs

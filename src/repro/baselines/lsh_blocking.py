@@ -10,7 +10,7 @@ paper, the comparison against adaLSH uses three optimizations:
    larger than every cluster not yet verified;
 2. transitive-closure skipping inside ``P`` (shared
    :class:`~repro.core.pairwise_fn.PairwiseComputation` implementation);
-3. the same data structures as adaLSH (parent-pointer trees, bin index).
+3. the same data structures as adaLSH (fingerprint bin index, size bins).
 
 ``LSH-X-nP`` (Appendix E.1) skips verification entirely and trusts the
 bucket graph — fast but error-prone, which Figure 20 quantifies.
@@ -25,6 +25,7 @@ from ..core.result import SOURCE_PAIRWISE, Cluster, FilterResult, WorkCounters
 from ..core.transitive import TransitiveHashingFunction
 from ..distance.rules import MatchRule
 from ..errors import ConfigurationError
+from ..lsh.binindex import SchemeBinIndex
 from ..lsh.design import DEFAULT_EPSILON, build_design_context, design_scheme
 from ..records import RecordStore
 from ..rngutil import make_rng
@@ -74,7 +75,9 @@ class LSHBlocking:
             return
         self._ctx = build_design_context(self.store, self.rule, seed=self._rng)
         self._design = design_scheme(self._ctx, self.n_hashes, epsilon=self.epsilon)
-        self._function = TransitiveHashingFunction(1, self._design)
+        self._function = TransitiveHashingFunction(
+            1, self._design, SchemeBinIndex(len(self.store)).level(1)
+        )
         self._pools = [
             comp.pool for branch in self._ctx.branches for comp in branch
         ]

@@ -6,7 +6,7 @@ from .adaptive import AdaptiveLSH, adaptive_filter
 from .budget import exponential_budgets, linear_budgets
 from .config import AdaptiveConfig
 from .cost import CostModel
-from .pairmemo import PairVerdictMemo, resolve_pair_memo
+from .pairmemo import PairVerdictMemo
 from .pairwise_fn import PairwiseComputation
 from .planning import WorkEstimate, predict_filter_work
 from .result import Cluster, FilterResult, WorkCounters
@@ -19,7 +19,6 @@ __all__ = [
     "TransitiveHashingFunction",
     "PairwiseComputation",
     "PairVerdictMemo",
-    "resolve_pair_memo",
     "CostModel",
     "predict_filter_work",
     "WorkEstimate",

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..distance.rules import MatchRule
 from ..errors import ConfigurationError, ResolvableExceededError, SnapshotError
-from ..lsh.binindex import SchemeBinIndex, resolve_bin_index
+from ..lsh.binindex import SchemeBinIndex
 from ..lsh.design import DesignContext, SchemeDesign, design_sequence
 from ..lsh.families import SignaturePool
 from ..obs import DISABLED, RoundEvent, RunObserver, RunReport
@@ -40,14 +40,7 @@ from ..types import IntArray
 from .budget import exponential_budgets
 from .config import SELECTIONS, AdaptiveConfig
 from .cost import CostModel
-from .pairmemo import (
-    MATCH,
-    NO_MATCH,
-    UNKNOWN,
-    PairVerdictMemo,
-    pack_pair_keys,
-    resolve_pair_memo,
-)
+from .pairmemo import MATCH, NO_MATCH, UNKNOWN, PairVerdictMemo, pack_pair_keys
 from .pairwise_fn import PairwiseComputation
 from .result import SOURCE_PAIRWISE, Cluster, FilterResult, WorkCounters
 from .transitive import TransitiveHashingFunction
@@ -134,12 +127,8 @@ class AdaptiveLSH:
             ExecutionPool(store, self.n_jobs) if self.n_jobs > 1 else None
         )
         #: Cross-round pair-verdict memo shared by the pairwise function
-        #: and the lookahead density sampler; ``None`` when disabled.
-        self._pair_memo: PairVerdictMemo | None = (
-            PairVerdictMemo(max_bytes=cfg.pair_memo_bytes)
-            if resolve_pair_memo(cfg.pair_memo)
-            else None
-        )
+        #: and the lookahead density sampler.
+        self._pair_memo = PairVerdictMemo(max_bytes=cfg.pair_memo_bytes)
         self._pairwise = PairwiseComputation(
             store,
             rule,
@@ -147,13 +136,9 @@ class AdaptiveLSH:
             pool=self._exec_pool,
             memo=self._pair_memo,
         )
-        #: Persistent fingerprint bin index (CSR collision groups and
-        #: streaming delta candidates); ``None`` when disabled.
-        self._bin_index: SchemeBinIndex | None = (
-            SchemeBinIndex(len(store), max_bytes=cfg.bin_index_bytes)
-            if resolve_bin_index(cfg.bin_index)
-            else None
-        )
+        #: Persistent fingerprint bin index: every level's grouping and
+        #: the streaming delta candidates.
+        self._bin_index = SchemeBinIndex(len(store))
         self._prepared = False
         #: True when prepared state was adopted from a snapshot instead
         #: of being designed/calibrated by this instance.
@@ -238,7 +223,9 @@ class AdaptiveLSH:
         shared tail of cold :meth:`_prepare` and warm
         :meth:`adopt_prepared_state`."""
         self._functions = [
-            TransitiveHashingFunction(level + 1, design)
+            TransitiveHashingFunction(
+                level + 1, design, self._bin_index.level(level + 1)
+            )
             for level, design in enumerate(self._designs)
         ]
         self._pools = [
@@ -247,6 +234,7 @@ class AdaptiveLSH:
         # Hand the hot-path collaborators the run observer; with the
         # shared no-op observer this only sets an attribute once.
         self._pairwise.observer = self.obs
+        self._bin_index.observer = self.obs
         for pool in self._pools:
             pool.observer = self.obs
         if self._exec_pool is not None:
@@ -256,16 +244,11 @@ class AdaptiveLSH:
                 # Registered before the first fork so workers inherit
                 # the family objects (parameters included) for free.
                 self._exec_pool.register_family(pool.family)
-        if self._bin_index is not None:
-            self._bin_index.observer = self.obs
-            for fn in self._functions:
-                fn.bin_index = self._bin_index.level(fn.level)
-        if self._pair_memo is not None:
-            self._pair_memo.observer = self.obs
-            # Establish (or re-validate) the memo's (store, rule)
-            # binding; remembered verdicts survive exactly when both
-            # fingerprints still match.
-            self._pair_memo.bind(self.store, self.rule)
+        self._pair_memo.observer = self.obs
+        # Establish (or re-validate) the memo's (store, rule) binding;
+        # remembered verdicts survive exactly when both fingerprints
+        # still match.
+        self._pair_memo.bind(self.store, self.rule)
         self._prepared = True
 
     def adopt_prepared_state(
@@ -303,16 +286,16 @@ class AdaptiveLSH:
         self.warm_started = True
 
     @property
-    def pair_memo(self) -> PairVerdictMemo | None:
-        """The pair-verdict memo, or ``None`` when memoization is off."""
+    def pair_memo(self) -> PairVerdictMemo:
+        """The pair-verdict memo."""
         return self._pair_memo
 
     @property
-    def bin_index(self) -> SchemeBinIndex | None:
-        """The fingerprint bin index, or ``None`` when disabled."""
+    def bin_index(self) -> SchemeBinIndex:
+        """The fingerprint bin index."""
         return self._bin_index
 
-    def adopt_pair_memo(self, memo: PairVerdictMemo | None) -> None:
+    def adopt_pair_memo(self, memo: PairVerdictMemo) -> None:
         """Transfer a pair-verdict memo from a prior method instance.
 
         Used by :meth:`repro.serve.ResolverSession.extend_store`, where
@@ -323,9 +306,8 @@ class AdaptiveLSH:
         """
         self._pair_memo = memo
         self._pairwise.memo = memo
-        if memo is not None:
-            memo.observer = self.obs
-            memo.bind(self.store, self.rule)
+        memo.observer = self.obs
+        memo.bind(self.store, self.rule)
 
     def close(self) -> None:
         """Shut down the worker pool (no-op when running serial)."""
@@ -412,10 +394,8 @@ class AdaptiveLSH:
         """Attach pool/cache execution stats to a result info dict."""
         if self._exec_pool is not None:
             info["parallel"] = self._exec_pool.stats()
-        if self._pair_memo is not None:
-            info["memoized_pairs"] = self._pair_memo.stats()
-        if self._bin_index is not None:
-            info["bin_index"] = self._bin_index.stats()
+        info["memoized_pairs"] = self._pair_memo.stats()
+        info["bin_index"] = self._bin_index.stats()
         backing = self.store.backing
         if backing is not None:
             info["store_backing"] = {
@@ -506,7 +486,7 @@ class AdaptiveLSH:
         """Apply ``H_level`` on ``rids`` and wrap the output clusters."""
         fn = self._functions[level - 1]
         self._level_of[rids] = level
-        parts = fn.apply(rids, counters, observer=self.obs)
+        parts = fn.apply(rids, counters)
         return [Cluster(part, level) for part in parts]
 
     def _apply_pairwise(self, rids: IntArray, counters: WorkCounters) -> list[Cluster]:
@@ -537,23 +517,18 @@ class AdaptiveLSH:
         sampled_a = left[distinct]
         sampled_b = right[distinct]
         total = int(distinct.sum())
-        memo = self._pair_memo
-        if memo is not None and not memo.disabled:
-            keys = pack_pair_keys(sampled_a, sampled_b)
-            verdicts = memo.lookup(keys)
-            unknown = np.nonzero(verdicts == UNKNOWN)[0]
-            if unknown.size:
-                fresh = self.rule.match_pairs(
-                    self.store, sampled_a[unknown], sampled_b[unknown]
-                )
-                memo.record(keys[unknown], fresh)
-                verdicts[unknown] = np.where(fresh, MATCH, NO_MATCH)
-            hits = int(np.count_nonzero(verdicts == MATCH))
-            counters.pairs_compared += int(unknown.size)
-            return hits / total
-        matched = self.rule.match_pairs(self.store, sampled_a, sampled_b)
-        counters.pairs_compared += total
-        return int(np.count_nonzero(matched)) / total
+        # A disabled memo reads every pair as unknown and records none.
+        keys = pack_pair_keys(sampled_a, sampled_b)
+        verdicts = self._pair_memo.lookup(keys)
+        unknown = np.nonzero(verdicts == UNKNOWN)[0]
+        if unknown.size:
+            fresh = self.rule.match_pairs(
+                self.store, sampled_a[unknown], sampled_b[unknown]
+            )
+            self._pair_memo.record(keys[unknown], fresh)
+            verdicts[unknown] = np.where(fresh, MATCH, NO_MATCH)
+        counters.pairs_compared += int(unknown.size)
+        return int(np.count_nonzero(verdicts == MATCH)) / total
 
     def _lookahead_says_jump(
         self, level: int, cluster: Cluster, counters: WorkCounters

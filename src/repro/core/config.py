@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from ..errors import ConfigurationError
-from ..lsh.binindex import DEFAULT_MAX_BYTES as DEFAULT_BIN_INDEX_BYTES
 from ..lsh.design import DEFAULT_EPSILON
 from ..rngutil import SeedLike
 from .cost import CostModel
@@ -28,8 +27,12 @@ JUMP_POLICIES = ("line5", "lookahead")
 
 #: Keys of knobs that no longer exist; :meth:`AdaptiveConfig.from_dict`
 #: drops them.  ``signature_cache`` switched the packed-key cache (which
-#: ``to_dict`` wrote), ``kernels`` selected the kernel backend.
-RETIRED_KEYS = frozenset({"signature_cache", "kernels"})
+#: ``to_dict`` wrote), ``kernels`` selected the kernel backend,
+#: ``pair_memo`` switched the pair-verdict memo, and ``bin_index`` /
+#: ``bin_index_bytes`` switched and sized the fingerprint bin index.
+RETIRED_KEYS = frozenset(
+    {"signature_cache", "kernels", "pair_memo", "bin_index", "bin_index_bytes"}
+)
 
 
 @dataclass(frozen=True)
@@ -53,16 +56,9 @@ class AdaptiveConfig:
     lookahead_samples: int = 32
     lookahead_density: float = 0.6
     n_jobs: int | None = None
-    #: Cross-round pair-verdict memoization (``None`` defers to the
-    #: ``REPRO_PAIR_MEMO`` environment variable, default enabled).
-    pair_memo: bool | None = None
+    #: Byte budget of the cross-round pair-verdict memo; a budget below
+    #: its initial table makes it remember nothing.
     pair_memo_bytes: int = DEFAULT_PAIR_MEMO_BYTES
-    #: Persistent fingerprint bin index for collision grouping and
-    #: streaming delta candidate generation (``None`` defers to the
-    #: ``REPRO_BIN_INDEX`` environment variable, default enabled).
-    #: Grouping output is bit-identical either way.
-    bin_index: bool | None = None
-    bin_index_bytes: int = DEFAULT_BIN_INDEX_BYTES
 
     def __post_init__(self) -> None:
         if self.budgets is not None:
@@ -89,7 +85,6 @@ class AdaptiveConfig:
         object.__setattr__(self, "lookahead_samples", int(self.lookahead_samples))
         object.__setattr__(self, "lookahead_density", float(self.lookahead_density))
         object.__setattr__(self, "pair_memo_bytes", int(self.pair_memo_bytes))
-        object.__setattr__(self, "bin_index_bytes", int(self.bin_index_bytes))
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly view of the *portable* settings.
@@ -110,10 +105,7 @@ class AdaptiveConfig:
             "jump_policy": self.jump_policy,
             "lookahead_samples": self.lookahead_samples,
             "lookahead_density": self.lookahead_density,
-            "pair_memo": self.pair_memo,
             "pair_memo_bytes": self.pair_memo_bytes,
-            "bin_index": self.bin_index,
-            "bin_index_bytes": self.bin_index_bytes,
         }
 
     @classmethod

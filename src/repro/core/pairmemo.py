@@ -17,7 +17,9 @@ Design:
   NumPy table next to a ``uint8`` verdict column;
 * a byte budget — when the table would outgrow it, the memo *freezes*:
   existing verdicts keep serving, new pairs pass through unrecorded
-  (counted as ``evictions``), and results stay correct either way;
+  (counted as ``evictions``), and results stay correct either way.  A
+  budget below the initial table freezes the memo from the start, so
+  ``max_bytes=0`` remembers nothing;
 * correctness rests on verdict determinism: a pair's verdict is a pure
   function of the store contents and the match rule, so the memo is
   fingerprinted by both (:meth:`PairVerdictMemo.bind`) and clears
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -42,12 +43,6 @@ if TYPE_CHECKING:
     from ..distance.rules import MatchRule
     from ..obs.observer import RunObserver
     from ..records import RecordStore
-
-#: Environment variable consulted when ``AdaptiveConfig.pair_memo`` is
-#: ``None``; the CLI's ``--no-pair-memo`` flag sets it so the knob
-#: reaches every component without threading a parameter through each
-#: call site (same pattern as ``REPRO_N_JOBS``).
-PAIR_MEMO_ENV = "REPRO_PAIR_MEMO"
 
 #: Default cap on the memo's table bytes (keys + verdicts).  At nine
 #: bytes per slot and the 0.6 load ceiling this remembers ~4.5 million
@@ -72,26 +67,6 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 UNKNOWN = np.uint8(0)
 NO_MATCH = np.uint8(1)
 MATCH = np.uint8(2)
-
-
-def resolve_pair_memo(flag: bool | None = None) -> bool:
-    """Resolve the ``pair_memo`` knob to a concrete on/off decision.
-
-    ``None`` falls back to the ``REPRO_PAIR_MEMO`` environment variable
-    and to *enabled* when that is unset.
-    """
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(PAIR_MEMO_ENV, "").strip().lower()
-    if not raw:
-        return True
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(
-        f"{PAIR_MEMO_ENV} must be a boolean flag (0/1), got {raw!r}"
-    )
 
 
 def pack_pair_keys(a: IntArray, b: IntArray) -> IntArray:
@@ -144,9 +119,10 @@ class PairVerdictMemo:
         self._keys: IntArray = np.full(_INITIAL_CAPACITY, _EMPTY, dtype=np.int64)
         self._verdicts = np.zeros(_INITIAL_CAPACITY, dtype=np.uint8)
         self._pairs = 0
-        #: True once the byte budget blocked a growth step: existing
+        #: True once the byte budget blocked a growth step (or, for a
+        #: budget below the initial table, from the start): existing
         #: verdicts keep serving, new pairs degrade to pass-through.
-        self.frozen = False
+        self.frozen = self._over_budget()
         #: True when the bound store is too large for 32-bit packing;
         #: every lookup misses and nothing is recorded.
         self.disabled = False
@@ -201,7 +177,7 @@ class PairVerdictMemo:
         self._keys = np.full(_INITIAL_CAPACITY, _EMPTY, dtype=np.int64)
         self._verdicts = np.zeros(_INITIAL_CAPACITY, dtype=np.uint8)
         self._pairs = 0
-        self.frozen = False
+        self.frozen = self._over_budget()
         self._rule_fp = None
         self._store_fp = None
         self._n_records = 0
@@ -212,6 +188,10 @@ class PairVerdictMemo:
     @property
     def capacity(self) -> int:
         return int(self._keys.size)
+
+    def _over_budget(self) -> bool:
+        """True when the current table already exceeds the budget."""
+        return self.table_bytes > self.max_bytes
 
     @property
     def pairs(self) -> int:

@@ -1,6 +1,6 @@
 """Locality-sensitive hashing substrate (paper §3, §5, Appendices A-C)."""
 
-from .binindex import H1DeltaIndex, LevelBins, SchemeBinIndex, resolve_bin_index
+from .binindex import H1DeltaIndex, LevelBins, SchemeBinIndex
 from .design import GroupDesign, SchemeDesign, design_scheme, design_sequence
 from .families import HashFamily, SignaturePool
 from .hyperplanes import RandomHyperplaneFamily
@@ -32,5 +32,4 @@ __all__ = [
     "SchemeBinIndex",
     "LevelBins",
     "H1DeltaIndex",
-    "resolve_bin_index",
 ]

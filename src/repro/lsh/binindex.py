@@ -1,10 +1,10 @@
-"""Persistent per-level bin index: CSR collision groups from u64
-fingerprints, plus delta candidate generation for streams.
+"""Persistent per-level bin index: how every hashing function groups
+its records, plus delta candidate generation for streams.
 
-:meth:`~repro.lsh.scheme.HashingScheme.iter_table_collisions` packs
-every record's key bytes and memcmp-sorts them, table by table, on every
-``run``/``refine``.  Hash *values* are incremental (Property 4); this
-module makes the bucket work cheap and incremental too:
+A transitive hashing function (Definition 1, App. B.2) puts its input
+into fresh tables and unions the records that share a bucket.  This
+module finds those buckets for all of a level's tables at once, and
+keeps the bucket work incremental, as Property 4 keeps the hash values:
 
 * **Fingerprints from the pools** — each (record, table) key is mixed
   to one ``uint64`` (splitmix64 over the key's big-endian words).  The
@@ -16,11 +16,11 @@ module makes the bucket work cheap and incremental too:
   ``(records, tables)`` fingerprint matrix at once.  Only rows inside
   multi-member fingerprint runs (the collision candidates) have their
   key words gathered from the pools, for a byte-exact tie-break inside
-  fingerprint-equal runs and a final reorder that emits groups in the
-  legacy order: table, then byte-lexicographic key.  Group content and
-  order are therefore bit-identical to the legacy void-argsort path
-  (the order matters: it is the union order of the parent-pointer
-  forest).
+  fingerprint-equal runs and a final reorder that emits groups table
+  by table and, within a table, in byte-lexicographic key order.  That
+  order is the union order of a per-table parent-pointer forest replay
+  (the test suite keeps that replay as the reference and pins group
+  content and order against it bit for bit).
 * **Distinct edges** — the level's ``(head, member)`` union edges keep
   only their first occurrence; a repeated edge is a union no-op, so the
   clusters, their leaf order and their emission order are unchanged.
@@ -33,24 +33,24 @@ module makes the bucket work cheap and incremental too:
   insert batches.  A new batch merge-inserts its keys and emits
   candidate pairs from touched buckets only, so a streaming refine
   after ``insert_records`` re-groups the arriving records instead of
-  the whole store.
+  the whole store.  These arrays are a stream's partition state, like
+  its union-find arrays: their bytes count toward the budget, but they
+  are never refused.
 
 Byte comparisons ride on one invariant: a table's key is the native
 bytes of its hstack-promoted block of hash values, and those bytes read
 as big-endian ``uint64`` words (zero-padded at the tail) compare, word
 tuple against word tuple, exactly like ``memcmp`` — so ``np.lexsort``
-over the word columns reproduces the legacy byte-lexicographic order.
+over the word columns reproduces the byte-lexicographic order.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..kernels.base import _splitmix64
 from ..obs.clock import monotonic
 from ..types import AnyArray, BoolArray, IntArray
@@ -60,15 +60,9 @@ if TYPE_CHECKING:
     from ..structures.union_find import UnionFind
     from .scheme import HashingScheme, TableGroup
 
-#: Environment variable consulted when ``AdaptiveConfig.bin_index`` is
-#: ``None``; the CLI's ``--no-bin-index`` flag sets it so the knob
-#: reaches every component without threading a parameter through each
-#: call site (same pattern as ``REPRO_PAIR_MEMO``).
-BIN_INDEX_ENV = "REPRO_BIN_INDEX"
-
-#: Default cap on total index bytes (fingerprint matrices plus delta
-#: arrays) per method instance; structures that would exceed it degrade
-#: to pass-through.
+#: Default cap on total index bytes per method instance.  Fingerprint
+#: matrices that would exceed it are not stored (pass-through); the
+#: ``H_1`` delta arrays count toward it but are never refused.
 DEFAULT_MAX_BYTES = 128 << 20
 
 #: Fingerprinting processes records in chunks whose key words take
@@ -82,26 +76,6 @@ CsrGroups = tuple[IntArray, IntArray]
 #: ``words_of(tables, positions)``: big-endian key words of row
 #: ``positions[i]`` in table ``tables[i]``, one row per entry.
 WordsFn = Callable[[IntArray, IntArray], AnyArray]
-
-
-def resolve_bin_index(flag: bool | None = None) -> bool:
-    """Resolve the ``bin_index`` knob to a concrete on/off decision.
-
-    ``None`` falls back to the ``REPRO_BIN_INDEX`` environment variable
-    and to *enabled* when that is unset.
-    """
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(BIN_INDEX_ENV, "").strip().lower()
-    if not raw:
-        return True
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(
-        f"{BIN_INDEX_ENV} must be a boolean flag (0/1), got {raw!r}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -234,11 +208,11 @@ def group_table(fps: AnyArray, words_of: WordsFn) -> CsrGroups:
     only the entries that sit inside multi-member fingerprint runs (the
     collision candidates).
 
-    The output is bit-identical — group content *and* order — to the
-    legacy void-argsort grouping run table by table: groups are >= 2
-    rows sharing the exact key bytes of one table, emitted table by
-    table and, within a table, in byte-lexicographic key order, with
-    members in ascending row position.
+    The output is bit-identical — group content *and* order — to a
+    stable sort of each table's key bytes run table by table: groups
+    are >= 2 rows sharing the exact key bytes of one table, emitted
+    table by table and, within a table, in byte-lexicographic key
+    order, with members in ascending row position.
     """
     fps = np.asarray(fps, dtype=np.uint64)
     if fps.ndim == 1:
@@ -300,8 +274,8 @@ def group_table(fps: AnyArray, words_of: WordsFn) -> CsrGroups:
     if g_starts.size == 0:
         return _empty_csr()
     if g_starts.size > 1:
-        # Fingerprint runs are ordered by fingerprint; the legacy path
-        # emits table by table, each in byte-lexicographic key order.
+        # Fingerprint runs are ordered by fingerprint; groups go out
+        # table by table, each in byte-lexicographic key order.
         rep_order = np.lexsort((*words[g_starts].T[::-1], tables[g_starts]))
         g_starts = g_starts[rep_order]
         lens = lens[rep_order]
@@ -405,8 +379,8 @@ class LevelBins:
         self, scheme: HashingScheme, rids: IntArray
     ) -> tuple[IntArray, IntArray]:
         """The distinct union edges of one application of this level to
-        ``rids``, as row positions, in the order the legacy per-table
-        forest replay first performs them."""
+        ``rids``, as row positions, in the order a per-table forest
+        replay of the level's groups first performs them."""
         owner = self._owner
         obs = owner.observer
         timed = obs is not None and obs.enabled
@@ -437,10 +411,10 @@ class SchemeBinIndex:
     """All levels' :class:`LevelBins` plus the shared byte budget,
     counters, and the streaming :class:`H1DeltaIndex` factory.
 
-    One instance lives per :class:`~repro.core.adaptive.AdaptiveLSH`,
-    wired onto each
-    :class:`~repro.core.transitive.TransitiveHashingFunction` during
-    ``_install_prepared_state``.
+    One instance lives per :class:`~repro.core.adaptive.AdaptiveLSH`
+    (and per :class:`~repro.baselines.LSHBlocking` run); each
+    :class:`~repro.core.transitive.TransitiveHashingFunction` is built
+    with its level's view.
     """
 
     def __init__(
@@ -462,8 +436,8 @@ class SchemeBinIndex:
         self.delta_rows = 0
         self.delta_pairs = 0
         self.delta_buckets = 0
-        #: Structures that fell back to pass-through (or dict tables)
-        #: because the byte budget was exhausted.
+        #: Fingerprint matrices left unstored (pass-through) because
+        #: the byte budget was exhausted.
         self.degraded = 0
 
     def level(self, level: int) -> LevelBins:
@@ -473,30 +447,25 @@ class SchemeBinIndex:
         return LevelBins(self, level, state)
 
     def reserve(self, nbytes: int) -> bool:
-        """Try to claim ``nbytes`` of the byte budget."""
+        """Try to claim ``nbytes`` of the byte budget for a cache."""
         if self._reserved + nbytes > self.max_bytes:
             return False
         self._reserved += nbytes
         return True
 
+    def charge(self, nbytes: int) -> None:
+        """Count ``nbytes`` of partition state, which is held whatever
+        the budget; it only shrinks the room left for caches."""
+        self._reserved += nbytes
+
     @property
     def indexed_bytes(self) -> int:
         return self._reserved
 
-    def h1_delta(
-        self, scheme: HashingScheme, state: dict[str, Any] | None = None
-    ) -> H1DeltaIndex | None:
-        """A first-level delta index, optionally warm-started from a
-        prior index's :meth:`H1DeltaIndex.export_state`.
-
-        Returns ``None`` when a carried state cannot be adopted (table
-        layout changed, or its arrays exceed the byte budget) — the
-        caller then rebuilds from scratch, which is always correct.
-        """
-        delta = H1DeltaIndex(self, scheme, self.level(1))
-        if state is not None and not delta.adopt_state(state):
-            return None
-        return delta
+    def h1_delta(self, scheme: HashingScheme) -> H1DeltaIndex:
+        """An empty first-level delta index over ``scheme``; warm-start
+        it from a prior index with :meth:`H1DeltaIndex.adopt_state`."""
+        return H1DeltaIndex(self, scheme, self.level(1))
 
     def record_fp(self, hits: int, misses: int) -> None:
         self.fp_hits += hits
@@ -558,14 +527,13 @@ class H1DeltaIndex:
     """Persistent sorted ``(fingerprint, rid)`` arrays for the first
     level's tables, with delta candidate-pair emission per insert batch.
 
-    The dict-table streaming front-end it replaces maintains one
-    invariant: records sharing a table's exact bucket key are connected
-    in the union-find.  The delta index maintains the same invariant —
-    batch-internal groups are byte-verified through
-    :func:`group_table`, and matches against existing buckets are
-    byte-verified against the bucket head (with a rare full-run scan
-    when 64-bit fingerprints collide) — so the resulting partition, and
-    therefore every downstream coarse cluster and refine, is identical.
+    The index maintains one invariant: records sharing a table's exact
+    bucket key are connected in the union-find.  Batch-internal groups
+    are byte-verified through :func:`group_table`, and matches against
+    existing buckets are byte-verified against the bucket head (with a
+    rare full-run scan when 64-bit fingerprints collide), so the
+    partition equals the one per-table ``bytes -> rid`` maps would
+    build, whatever the fingerprints.
     """
 
     def __init__(
@@ -595,41 +563,31 @@ class H1DeltaIndex:
         }
 
     def adopt_state(self, state: dict[str, Any]) -> bool:
-        """Adopt a prior index's arrays; ``False`` leaves this index
-        empty (layout mismatch or byte budget exhausted)."""
+        """Adopt a prior index's arrays; ``False`` (a table layout
+        mismatch) leaves this index empty."""
         if int(state["table_count"]) != self._scheme.table_count:
             return False
         fps = [np.asarray(fp, dtype=np.uint64) for fp in state["fps"]]
         rids = [np.asarray(rid, dtype=np.int64) for rid in state["rids"]]
         if len(fps) != self._scheme.table_count or len(fps) != len(rids):
             return False
-        nbytes = sum(fp.size for fp in fps) * 16
-        if not self._owner.reserve(nbytes):
-            self._owner.degraded += 1
-            return False
+        self._owner.charge(sum(fp.size for fp in fps) * 16)
         self._fps = fps
         self._rids = rids
         return True
 
-    def insert(self, rids: IntArray, uf: UnionFind) -> bool:
-        """Merge-insert a batch and union its delta candidate pairs.
-
-        Returns ``False`` — with no state mutated — when the byte
-        budget cannot cover the batch; the caller falls back to plain
-        dict tables (see ``StreamingTopK._fallback_to_tables``).
-        """
+    def insert(self, rids: IntArray, uf: UnionFind) -> None:
+        """Merge-insert a batch and union its delta candidate pairs."""
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
-            return True
+            return
         scheme = self._scheme
         n_tables = scheme.table_count
         fps = self._bins.fingerprints(scheme, rids)
         if not self._fps:
             self._fps = [np.empty(0, dtype=np.uint64)] * n_tables
             self._rids = [np.empty(0, dtype=np.int64)] * n_tables
-        if not self._owner.reserve(int(rids.size) * n_tables * 16):
-            self._owner.degraded += 1
-            return False
+        self._owner.charge(int(rids.size) * n_tables * 16)
         # Batch-internal candidate pairs: byte-verified groups of every
         # table at once.
         members, starts = group_table(
@@ -690,4 +648,3 @@ class H1DeltaIndex:
         self._fps = new_fps
         self._rids = new_rids
         self._owner.record_delta(int(rids.size) * n_tables, pairs, buckets)
-        return True

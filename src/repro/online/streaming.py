@@ -15,20 +15,14 @@ because the wrapped method's
 :class:`~repro.core.pairmemo.PairVerdictMemo` lives across refines —
 pairs verified by one query are never re-evaluated by the next.
 
-Two interchangeable ``H_1`` table backends maintain the coarse
-partition (records sharing a bucket key are connected):
-
-* the **delta index** (:class:`~repro.lsh.binindex.H1DeltaIndex`, used
-  when the method's bin index is on) keeps per-table sorted
-  ``(fingerprint, rid)`` arrays and emits candidate pairs from touched
-  buckets only.  Its state is exportable: a successor stream over an
-  extended store adopts it (:class:`StreamCarry`) and ingests just the
-  new records instead of re-grouping everything;
-* plain per-table ``dict[bytes, int]`` maps (bin index off, or byte
-  budget exhausted) — the original backend, kept as the fallback.
-
-Both maintain the identical partition, so coarse clusters and every
-downstream refine are bit-identical across backends.
+The coarse partition (records sharing an ``H_1`` bucket key are
+connected) lives in a union-find plus the method's **delta index**
+(:class:`~repro.lsh.binindex.H1DeltaIndex`): per-table sorted
+``(fingerprint, rid)`` arrays that emit candidate pairs from touched
+buckets only.  Both are partition state, held whatever the bin index's
+byte budget.  They are exportable: a successor stream over an extended
+store adopts them (:class:`StreamCarry`) and ingests just the new
+records instead of re-grouping everything.
 
 Storage note: records live in a regular :class:`RecordStore` created up
 front; "arrival" is the ``insert`` call.  This decouples stream order
@@ -45,7 +39,6 @@ import numpy as np
 from ..core.adaptive import AdaptiveLSH
 from ..core.config import AdaptiveConfig
 from ..core.result import FilterResult
-from ..core.transitive import TransitiveHashingFunction
 from ..distance.rules import MatchRule
 from ..errors import ConfigurationError
 from ..lsh.binindex import H1DeltaIndex
@@ -85,8 +78,6 @@ class StreamingTopK:
     to learn whether only the new records still need inserting.
     """
 
-    _h1: TransitiveHashingFunction
-
     def __init__(
         self,
         store: RecordStore,
@@ -117,9 +108,7 @@ class StreamingTopK:
         self.store = store
         self._uf = UnionFind(len(store))
         self._inserted = np.zeros(len(store), dtype=bool)
-        self._tables: list[dict[bytes, int]] | None = None
         self._delta: H1DeltaIndex | None = None
-        self._ready = False
         #: True when a ``carry=`` state was adopted — the caller only
         #: needs to insert records beyond ``carry.n_records``.
         self.carried = False
@@ -141,59 +130,37 @@ class StreamingTopK:
 
     @property
     def delta_index(self) -> H1DeltaIndex | None:
-        """The active ``H_1`` delta index, or ``None`` on the dict
-        backend (bin index off, or degraded past its byte budget)."""
+        """The ``H_1`` delta index, or ``None`` before the first insert
+        (or carried state) prepared the method."""
         return self._delta
 
-    def _ensure_ready(self) -> None:
-        if self._ready:
-            return
-        self._adaptive.prepare()
-        self._h1 = self._adaptive._functions[0]
-        owner = self._adaptive.bin_index
-        if owner is not None:
-            self._delta = owner.h1_delta(self._h1.scheme)
+    def _ensure_ready(self) -> H1DeltaIndex:
         if self._delta is None:
-            self._tables = [
-                dict() for _ in range(self._h1.scheme.table_count)
-            ]
-        self._ready = True
+            self._adaptive.prepare()
+            h1 = self._adaptive._functions[0]
+            self._delta = self._adaptive.bin_index.h1_delta(h1.scheme)
+        return self._delta
 
     def _adopt_carry(self, carry: StreamCarry) -> None:
         """Adopt a predecessor's partition and delta-index state.
 
         Falls back to a cold start (``carried`` stays False) when the
-        method has no bin index or the carried arrays do not fit the
-        byte budget — the caller then re-inserts everything, which is
-        the pre-carry behaviour and always correct.
+        carried arrays do not match the ``H_1`` table layout — the
+        caller then re-inserts everything, which is always correct.
         """
-        self._adaptive.prepare()
-        self._h1 = self._adaptive._functions[0]
-        owner = self._adaptive.bin_index
-        delta = (
-            owner.h1_delta(self._h1.scheme, state=carry.h1_state)
-            if owner is not None
-            else None
-        )
-        if delta is None:
-            self._tables = [
-                dict() for _ in range(self._h1.scheme.table_count)
-            ]
-            self._ready = True
+        if not self._ensure_ready().adopt_state(carry.h1_state):
             return
-        self._delta = delta
         n_old = int(carry.n_records)
         self._uf.parent[:n_old] = carry.parent
         self._uf.size[:n_old] = carry.size
         self._inserted[:n_old] = carry.inserted
         self.carried = True
-        self._ready = True
 
     def carry_state(self) -> StreamCarry | None:
         """Exportable warm state for a successor stream, or ``None``
-        when the delta index is inactive (the successor then re-inserts
+        before anything was inserted (the successor then re-inserts
         everything)."""
-        if not self._ready or self._delta is None:
+        if self._delta is None:
             return None
         return StreamCarry(
             n_records=len(self.store),
@@ -206,60 +173,30 @@ class StreamingTopK:
     # ------------------------------------------------------------------
     def insert(self, rid: int) -> None:
         """Ingest one record: ``H_1`` hashes plus table maintenance."""
-        self._ensure_ready()
-        rid = int(rid)
-        if self._inserted[rid]:
-            raise ConfigurationError(f"record {rid} was already inserted")
-        self._ingest(np.array([rid], dtype=np.int64))
+        self._ingest(self._checked(np.array([int(rid)], dtype=np.int64)))
 
     def insert_many(self, rids: ArrayLike) -> None:
         """Ingest a batch (hash computation is batched across records)."""
-        self._ensure_ready()
-        rids = np.asarray(rids, dtype=np.int64)
-        fresh = rids[~self._inserted[rids]]
-        if fresh.size != rids.size:
+        self._ingest(self._checked(np.asarray(rids, dtype=np.int64)))
+
+    def _checked(self, rids: IntArray) -> IntArray:
+        """``rids`` when every id is in range, appears once and is not
+        inserted yet; otherwise the whole batch is rejected before any
+        state changes."""
+        n = len(self.store)
+        if rids.size and (int(rids.min()) < 0 or int(rids.max()) >= n):
+            raise ConfigurationError(
+                f"record ids must lie in [0, {n}), got {rids.min()}..{rids.max()}"
+            )
+        if np.unique(rids).size != rids.size:
+            raise ConfigurationError("batch contains a record id more than once")
+        if self._inserted[rids].any():
             raise ConfigurationError("batch contains already-inserted records")
-        self._ingest(fresh)
+        return rids
 
     def _ingest(self, fresh: IntArray) -> None:
-        if self._delta is not None:
-            if self._delta.insert(fresh, self._uf):
-                self._inserted[fresh] = True
-                return
-            self._fallback_to_tables()
+        self._ensure_ready().insert(fresh, self._uf)
         self._inserted[fresh] = True
-        tables = self._tables
-        assert tables is not None
-        for table, keys in zip(
-            tables, self._h1.scheme.iter_table_keys(fresh)
-        ):
-            for rid_raw, key in zip(fresh, keys):
-                rid = int(rid_raw)
-                prev = table.get(key)
-                if prev is not None:
-                    self._uf.union(rid, prev)
-                table[key] = rid
-
-    def _fallback_to_tables(self) -> None:
-        """The delta index ran out of byte budget: rebuild plain dict
-        tables from the records inserted so far.
-
-        Partition-equivalent by the bucket invariant — every same-key
-        group is already fully unioned, so any member may serve as the
-        bucket representative for future arrivals.
-        """
-        self._delta = None
-        tables: list[dict[bytes, int]] = [
-            dict() for _ in range(self._h1.scheme.table_count)
-        ]
-        seen = np.nonzero(self._inserted)[0].astype(np.int64)
-        if seen.size:
-            for table, keys in zip(
-                tables, self._h1.scheme.iter_table_keys(seen)
-            ):
-                for rid_raw, key in zip(seen.tolist(), keys):
-                    table[key] = rid_raw
-        self._tables = tables
 
     # ------------------------------------------------------------------
     def current_clusters(self) -> list[IntArray]:
@@ -267,8 +204,7 @@ class StreamingTopK:
 
         A pure function of the partition: groups are listed by first
         occurrence (ascending smallest member), members ascending, then
-        stably sorted by size descending — matching the original
-        dict-accumulation loop bit for bit without per-record ``find``
+        stably sorted by size descending, without per-record ``find``
         calls.
         """
         seen = np.nonzero(self._inserted)[0].astype(np.int64)

@@ -173,14 +173,13 @@ class ResolverSession:
 
     def serving_stats(self) -> dict[str, Any]:
         """Session counters: queries answered, cache hits, warm/cold."""
-        bin_index = self._method.bin_index
         return {
             "queries": self._queries,
             "cache_hits": self._cache_hits,
             "warm_start": self._method.warm_started,
             "store_version": self.store_version,
             "cached_results": len(self._cache),
-            "bin_index": bin_index.stats() if bin_index is not None else None,
+            "bin_index": self._method.bin_index.stats(),
         }
 
     # ------------------------------------------------------------------
@@ -251,11 +250,11 @@ class ResolverSession:
         :class:`~repro.online.StreamingTopK` front-end whose refine
         loop shares the restored pools.
 
-        Streaming state is carried too: when the previous front-end ran
-        on the ``H_1`` delta index, its partition and sorted bucket
-        arrays transfer (:meth:`~repro.online.StreamingTopK.carry_state`)
-        and only the *new* records are ingested — delta candidate pairs
-        come from touched buckets instead of a full re-group.
+        Streaming state is carried too: the previous front-end's
+        partition and sorted ``H_1`` bucket arrays transfer
+        (:meth:`~repro.online.StreamingTopK.carry_state`) and only the
+        *new* records are ingested — delta candidate pairs come from
+        touched buckets instead of a full re-group.
         """
         if len(new_records) == 0:
             return
@@ -270,12 +269,11 @@ class ResolverSession:
         self._method = snapshot.restore(
             extended, n_jobs=n_jobs, observer=observer, strict=False
         )
-        if pair_memo is not None:
-            # Carry remembered pair verdicts across the re-seat: the old
-            # store is a byte-identical prefix of the extension, so the
-            # memo's re-bind keeps every verdict and later refines skip
-            # re-verifying pairs this session already resolved.
-            self._method.adopt_pair_memo(pair_memo)
+        # Carry remembered pair verdicts across the re-seat: the old
+        # store is a byte-identical prefix of the extension, so the
+        # memo's re-bind keeps every verdict and later refines skip
+        # re-verifying pairs this session already resolved.
+        self._method.adopt_pair_memo(pair_memo)
         self._store = extended
         self.store_version += 1
         stream = StreamingTopK(extended, method=self._method, carry=carry)

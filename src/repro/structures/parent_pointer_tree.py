@@ -9,9 +9,11 @@ count, so that
 * merging two clusters is ``O(1)`` pointer surgery plus a root lookup,
 * a cluster's size is read in ``O(1)``.
 
-The forest object owns the leaf-per-record mapping used by transitive
-hashing (Appendix B.2 case analysis: "has the record been added to a
-tree yet?").
+The forest object owns the leaf-per-record mapping (Appendix B.2 case
+analysis: "has the record been added to a tree yet?").  The pairwise
+function's transitive skipping runs on it; transitive hashing runs its
+merge rule and leaf order through the vectorised
+:class:`~repro.structures.union_find.ClusterUnionFind`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""End-to-end identity: final clusters are bit-identical with the bin
-index on and off, on the production and reference kernels, across
-worker counts, snapshot
-restore, streaming inserts, and serving-session store extensions; and
-the fingerprints and key words the bin index reads straight from the
-signature pools equal the ones defined over packed key rows."""
+"""End-to-end identity: final clusters are bit-identical between the
+bin index and the reference grouping of ``tests/lsh/keyref.py`` (the
+per-table forest replay and the streaming dict tables), on the
+production and reference kernels, across worker counts, snapshot
+restore, streaming inserts, serving-session store extensions and the
+LSH-X baseline; and the fingerprints and key words the bin index reads
+straight from the signature pools equal the ones defined over packed
+key rows."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AdaptiveConfig, AdaptiveLSH
-from repro.datasets import generate_cora, generate_spotsigs
+from repro.baselines import LSHBlocking
+from repro.datasets import generate_cora, generate_popular_images, generate_spotsigs
 from repro.lsh.binindex import SchemeBinIndex, key_words, table_fingerprints
 from repro.online import StreamingTopK
 from repro.serve import IndexSnapshot, ResolverSession
@@ -27,7 +30,9 @@ from tests.lsh.keyref import (
     mixed_store,
     roots_of,
     scheme_specs,
+    table_key_rows,
     table_words,
+    use_reference_grouping,
 )
 
 
@@ -35,13 +40,17 @@ def _clusters(result):
     return [tuple(int(r) for r in c.rids) for c in result.clusters]
 
 
-def _run(dataset, bin_index, n_jobs=None, k=3):
-    config = AdaptiveConfig(
-        seed=7,
-        cost_model="analytic",
-        bin_index=bin_index,
-        n_jobs=n_jobs,
-    )
+def _reference_then_production(monkeypatch, run):
+    """``run()`` through the reference grouping, then through the bin
+    index."""
+    with monkeypatch.context() as patch:
+        use_reference_grouping(patch)
+        reference = run()
+    return reference, run()
+
+
+def _run(dataset, n_jobs=None, k=3):
+    config = AdaptiveConfig(seed=7, cost_model="analytic", n_jobs=n_jobs)
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
         result = method.run(k)
     return result
@@ -49,16 +58,18 @@ def _run(dataset, bin_index, n_jobs=None, k=3):
 
 @pytest.mark.parametrize("generate", [generate_cora, generate_spotsigs])
 @pytest.mark.parametrize("n_jobs", [None, 2])
-def test_bin_index_on_off_identical(generate, n_jobs):
+def test_bin_index_on_off_identical(generate, n_jobs, monkeypatch):
     dataset = generate(n_records=300, seed=1)
-    off = _run(dataset, False, n_jobs=n_jobs)
-    on = _run(dataset, True, n_jobs=n_jobs)
+    off, on = _reference_then_production(
+        monkeypatch, lambda: _run(dataset, n_jobs=n_jobs)
+    )
     assert _clusters(off) == _clusters(on)
     assert off.counters.pairs_compared == on.counters.pairs_compared
     assert off.counters.hashes_computed == on.counters.hashes_computed
-    assert off.bin_index_stats is None
+    assert off.counters.table_inserts == on.counters.table_inserts
+    # The reference never touched the bin index.
+    assert off.bin_index_stats["tables_grouped"] == 0
     stats = on.bin_index_stats
-    assert stats is not None
     assert stats["tables_grouped"] > 0
     assert stats["degraded"] == 0
 
@@ -69,18 +80,16 @@ def test_bin_index_identical_per_kernel_backend(kernels, monkeypatch):
     if kernels == "numpy":
         use_reference_kernels(monkeypatch)
     dataset = generate_spotsigs(n_records=300, seed=2)
-    off = _run(dataset, False)
-    on = _run(dataset, True)
+    off, on = _reference_then_production(monkeypatch, lambda: _run(dataset))
     assert _clusters(off) == _clusters(on)
 
 
 def test_zero_byte_budget_degrades_identically():
     dataset = generate_cora(n_records=250, seed=3)
-    on = _run(dataset, True)
-    config = AdaptiveConfig(
-        seed=7, cost_model="analytic", bin_index=True, bin_index_bytes=0
-    )
+    on = _run(dataset)
+    config = AdaptiveConfig(seed=7, cost_model="analytic")
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
+        method.bin_index.max_bytes = 0
         broke = method.run(3)
     assert _clusters(on) == _clusters(broke)
     assert broke.bin_index_stats["degraded"] > 0
@@ -89,7 +98,7 @@ def test_zero_byte_budget_degrades_identically():
 
 def test_snapshot_restore_keeps_identity():
     dataset = generate_spotsigs(n_records=250, seed=4)
-    config = AdaptiveConfig(seed=5, cost_model="analytic", bin_index=True)
+    config = AdaptiveConfig(seed=5, cost_model="analytic")
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as cold:
         cold_result = cold.run(3)
         snapshot = IndexSnapshot.capture(cold)
@@ -99,17 +108,15 @@ def test_snapshot_restore_keeps_identity():
     finally:
         warm.close()
     assert _clusters(cold_result) == _clusters(warm_result)
-    assert warm_result.bin_index_stats is not None
+    assert warm_result.bin_index_stats["tables_grouped"] > 0
 
 
-def test_streaming_identical_on_off():
+def test_streaming_identical_on_off(monkeypatch):
     dataset = generate_cora(n_records=300, seed=6)
     rids = np.arange(len(dataset.store), dtype=np.int64)
-    outputs = []
-    for bin_index in (False, True):
-        config = AdaptiveConfig(
-            seed=6, cost_model="analytic", bin_index=bin_index
-        )
+
+    def stream_queries():
+        config = AdaptiveConfig(seed=6, cost_model="analytic")
         stream = StreamingTopK(dataset.store, dataset.rule, config=config)
         try:
             per_query = []
@@ -119,50 +126,110 @@ def test_streaming_identical_on_off():
                     [c.tolist() for c in stream.current_clusters()]
                 )
                 per_query.append(_clusters(stream.top_k(3)))
-            assert (stream.delta_index is not None) is bin_index
+            indexed = stream.delta_index.indexed_records
         finally:
             stream.method.close()
-        outputs.append(per_query)
-    assert outputs[0] == outputs[1]
+        return per_query, indexed
+
+    (off, off_indexed), (on, on_indexed) = _reference_then_production(
+        monkeypatch, stream_queries
+    )
+    assert off == on
+    assert off_indexed == 0
+    assert on_indexed == rids.size
 
 
-def test_session_extension_identical_and_carried():
-    full = generate_spotsigs(n_records=500, seed=7)
-    n_head, n_mid = 300, 400
+def _extend_twice(monkeypatch, records, extension, data_seed, k):
+    """A session over the head of ``spotsigs(records)`` extended twice
+    by ``extension`` records, with a query before and after each
+    extension, through the reference grouping and then the bin index.
+    Returns the production session's bin-index stats and ``H_1`` table
+    count."""
+    full = generate_spotsigs(n_records=records, seed=data_seed)
+    n_mid = records - extension
+    n_head = n_mid - extension
     head = full.store.take(np.arange(n_head))
     ext1 = full.store.take(np.arange(n_head, n_mid))
-    ext2 = full.store.take(np.arange(n_mid, len(full.store)))
-    outputs = []
-    for bin_index in (False, True):
-        config = AdaptiveConfig(
-            seed=3, cost_model="analytic", bin_index=bin_index
-        )
+    ext2 = full.store.take(np.arange(n_mid, records))
+
+    def serve():
+        config = AdaptiveConfig(seed=3, cost_model="analytic")
         with ResolverSession(head, full.rule, config=config) as session:
-            got = [_clusters(session.top_k(4))]
+            got = [_clusters(session.top_k(k))]
             session.extend_store(ext1)
-            got.append(_clusters(session.top_k(4)))
+            got.append(_clusters(session.top_k(k)))
             session.extend_store(ext2)
-            got.append(_clusters(session.top_k(4)))
-            if bin_index:
-                assert session._stream is not None
-                assert session._stream.carried
-                stats = session.serving_stats()["bin_index"]
-                # Only the second extension's rows went through the
-                # delta insert — a full re-group would touch them all.
-                assert stats["delta"]["rows"] == (
-                    (len(full.store) - n_mid)
-                    * session._stream.delta_index.export_state()[
-                        "table_count"
-                    ]
-                )
-            else:
-                assert session.serving_stats()["bin_index"] is None
-        outputs.append(got)
-    assert outputs[0] == outputs[1]
+            got.append(_clusters(session.top_k(k)))
+            carried = session._stream.carried
+            stats = session.serving_stats()["bin_index"]
+            tables = session._stream.delta_index.export_state()["table_count"]
+        return got, carried, stats, tables
+
+    (off, off_carried, _, _), (on, on_carried, stats, tables) = (
+        _reference_then_production(monkeypatch, serve)
+    )
+    assert off == on
+    assert not off_carried
+    assert on_carried
+    return stats, tables
+
+
+def test_session_extension_identical_and_carried(monkeypatch):
+    stats, tables = _extend_twice(monkeypatch, 500, 100, data_seed=7, k=4)
+    # Only the second extension's rows went through the delta insert —
+    # a full re-group would touch them all.
+    assert stats["delta"]["rows"] == 100 * tables
+
+
+@pytest.mark.parametrize(
+    "records,extension,delta_rows,full_rows",
+    [(600, 100, 2000, 12000), (2000, 250, 5000, 40000)],
+)
+def test_session_extension_bench_scenario(
+    monkeypatch, records, extension, delta_rows, full_rows
+):
+    """The serving scenario of the archived ``BENCH_binning.json``
+    (spotsigs(600), two extensions of 100, top-5) and its larger
+    variant: the latest extension's delta insert grouped
+    ``extension x tables`` rows against ``records x tables`` for a full
+    re-group (2000 vs 12000, ratio 0.1667, at the archived size)."""
+    stats, tables = _extend_twice(monkeypatch, records, extension, 0, k=5)
+    assert stats["delta"]["rows"] == delta_rows
+    assert records * tables == full_rows
+
+
+def _images(n_records, seed):
+    return generate_popular_images(
+        n_records=n_records, n_popular=30, top1_size=20, seed=seed
+    )
+
+
+@pytest.mark.parametrize(
+    "generate,n_hashes",
+    [(generate_cora, 1280), (_images, 2560)],
+    ids=["cora-LSH1280", "images-LSH2560"],
+)
+def test_lsh_blocking_identical_to_reference(monkeypatch, generate, n_hashes):
+    """The LSH-X baseline groups through a level-1 bin index; its
+    candidate clusters (LSH-X-nP, every cluster) and verified top-k are
+    byte-identical to the forest replay's."""
+    dataset = generate(n_records=400, seed=2)
+    n = len(dataset.store)
+
+    def run():
+        candidates = LSHBlocking(
+            dataset.store, dataset.rule, n_hashes, verify=False, seed=3
+        ).run(n)
+        verified = LSHBlocking(dataset.store, dataset.rule, n_hashes, seed=3).run(5)
+        return _clusters(candidates), _clusters(verified)
+
+    reference, production = _reference_then_production(monkeypatch, run)
+    assert reference == production
+    assert len(reference[0]) < n
 
 
 def _assert_pool_path_matches_rows(scheme, rids):
-    rows, layout = scheme.table_key_rows(rids)
+    rows, layout = table_key_rows(scheme, rids)
     np.testing.assert_array_equal(
         table_fingerprints(scheme, rids), _table_fingerprints(rows, layout)
     )
@@ -205,7 +272,7 @@ def test_delta_state_from_row_fingerprints_adopts():
     n = len(store)
     rids = np.random.default_rng(4).permutation(n).astype(np.int64)
     first, rest = rids[:50], rids[50:]
-    fps = _table_fingerprints(*scheme.table_key_rows(first))
+    fps = _table_fingerprints(*table_key_rows(scheme, first))
     order = np.argsort(fps, axis=0, kind="stable")
     state = {
         "table_count": scheme.table_count,
@@ -215,10 +282,10 @@ def test_delta_state_from_row_fingerprints_adopts():
     uf = UnionFind(n)
     for a, b in enumerate(dict_partition(scheme, [first], n)):
         uf.union(a, b)
-    delta = SchemeBinIndex(n).h1_delta(scheme, state=state)
-    assert delta is not None
+    delta = SchemeBinIndex(n).h1_delta(scheme)
+    assert delta.adopt_state(state)
     assert delta.indexed_records == first.size
-    assert delta.insert(rest, uf)
+    delta.insert(rest, uf)
     assert canonical(roots_of(uf, n)) == canonical(
         dict_partition(scheme, [rids], n)
     )

@@ -92,8 +92,25 @@ class TestSerialization:
         assert "signature_cache" not in config.to_dict()
         assert not hasattr(config, "signature_cache")
         expected = dict(data)
-        del expected["signature_cache"]
+        for key in ("signature_cache", "pair_memo", "bin_index", "bin_index_bytes"):
+            del expected[key]
         assert config.to_dict() == expected
+
+    @pytest.mark.parametrize("switch", [None, False, True])
+    def test_from_dict_drops_retired_toggle_keys(self, switch):
+        # Dicts written while the pair memo and the bin index could be
+        # switched off (and the bin index's budget set).
+        data = {
+            **AdaptiveConfig(epsilon=0.2).to_dict(),
+            "pair_memo": switch,
+            "bin_index": switch,
+            "bin_index_bytes": 1024,
+        }
+        config = AdaptiveConfig.from_dict(data)
+        assert config.epsilon == 0.2
+        for key in ("pair_memo", "bin_index", "bin_index_bytes"):
+            assert not hasattr(config, key)
+            assert key not in config.to_dict()
 
     @pytest.mark.parametrize("kernels", ["numpy", "packed", None])
     def test_from_dict_drops_retired_kernels_key(self, kernels):

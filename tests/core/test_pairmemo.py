@@ -8,15 +8,12 @@ import pytest
 from repro.core.pairmemo import (
     MATCH,
     NO_MATCH,
-    PAIR_MEMO_ENV,
     UNKNOWN,
     PairVerdictMemo,
     pack_pair_keys,
-    resolve_pair_memo,
     rule_fingerprint,
 )
 from repro.distance import JaccardDistance, ThresholdRule
-from repro.errors import ConfigurationError
 from repro.records import RecordStore, Schema
 
 
@@ -48,30 +45,6 @@ class TestPackPairKeys:
         keys = pack_pair_keys(a, b)
         pairs = {(min(x, y), max(x, y)) for x, y in zip(a.tolist(), b.tolist())}
         assert np.unique(keys).size == len(pairs)
-
-
-class TestResolveFlag:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(PAIR_MEMO_ENV, "0")
-        assert resolve_pair_memo(True) is True
-        assert resolve_pair_memo(False) is False
-
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(PAIR_MEMO_ENV, raising=False)
-        assert resolve_pair_memo(None) is True
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("1", True), ("true", True), ("YES", True), ("on", True),
-        ("0", False), ("false", False), ("No", False), ("off", False),
-    ])
-    def test_env_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(PAIR_MEMO_ENV, raw)
-        assert resolve_pair_memo(None) is expected
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(PAIR_MEMO_ENV, "maybe")
-        with pytest.raises(ConfigurationError):
-            resolve_pair_memo(None)
 
 
 class TestLookupRecord:
@@ -176,6 +149,23 @@ class TestLookupRecord:
         assert memo.frozen
         assert memo.evictions > 0
         assert np.all(memo.lookup(first) == MATCH)
+
+    @pytest.mark.parametrize("max_bytes", [0, 4096 * 9 - 1])
+    def test_budget_below_initial_table_records_nothing(self, max_bytes):
+        memo = PairVerdictMemo(max_bytes=max_bytes)
+        assert memo.frozen
+        keys = pack_pair_keys(
+            np.arange(10, dtype=np.int64), np.arange(10, 20, dtype=np.int64)
+        )
+        memo.record(keys, np.ones(10, dtype=bool))
+        assert memo.pairs == 0
+        assert memo.evictions == 10
+        assert np.all(memo.lookup(keys) == UNKNOWN)
+        # Clearing on a re-bind keeps the memo frozen.
+        memo.bind(_shingle_store(), ThresholdRule(JaccardDistance("shingles"), 0.5))
+        memo.bind(_shingle_store(offset=3), ThresholdRule(JaccardDistance("shingles"), 0.5))
+        assert memo.invalidations == 1
+        assert memo.frozen
 
     def test_empty_batches_are_noops(self):
         memo = PairVerdictMemo()

@@ -1,8 +1,10 @@
-"""Property tests (issue satellite): pair-verdict memoization never
-changes output.  Memo-on equals memo-off bit-for-bit — cluster content
-AND leaf order — across seeds, strategies, worker counts, snapshot
-restores, and streaming insert-then-refine; a fully warm memo makes a
-repeated refine free (``pairs_compared == 0``)."""
+"""Property tests: pair-verdict memoization never changes output.
+Memo-on equals memo-off (no memo, or one detached by
+:func:`detach_memo`) bit-for-bit — cluster content AND leaf order —
+across seeds, strategies, worker counts, snapshot restores, and
+streaming insert-then-refine; a fully warm memo makes a repeated refine
+free (``pairs_compared == 0``), and a zero-budget memo compares every
+pair a detached one does."""
 
 from __future__ import annotations
 
@@ -31,6 +33,30 @@ def _random_case(kind, seed):
         store, _ = make_shingle_store(cluster_sizes=sizes, n_noise=noise, seed=seed)
         rule = ThresholdRule(JaccardDistance("shingles"), float(rng.uniform(0.3, 0.6)))
     return store, rule
+
+
+def detach_memo(monkeypatch):
+    """Build every :class:`AdaptiveLSH` of the rest of the test without
+    a working pair memo: its pairwise function gets none, the lookahead
+    sampler sees a disabled one, and sessions do not carry one across
+    an extension — the memo-off side of every comparison here."""
+    install = AdaptiveLSH._install_prepared_state
+
+    def install_detached(self):
+        install(self)
+        self._pairwise.memo = None
+        self._pair_memo.disabled = True
+
+    monkeypatch.setattr(AdaptiveLSH, "_install_prepared_state", install_detached)
+    monkeypatch.setattr(AdaptiveLSH, "adopt_pair_memo", lambda self, memo: None)
+
+
+def _memo_off_then_on(monkeypatch, run):
+    """``run()`` with the memo detached, then with it attached."""
+    with monkeypatch.context() as patch:
+        detach_memo(patch)
+        off = run()
+    return off, run()
 
 
 def _bound_memo(store, rule):
@@ -115,94 +141,115 @@ def test_warm_parallel_blocked_match_serial(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("method_seed", [3, 9])
-def test_adaptive_run_identical_across_memo_and_jobs(method_seed, tiny_spotsigs):
+def test_adaptive_run_identical_across_memo_and_jobs(
+    method_seed, tiny_spotsigs, monkeypatch
+):
     """End-to-end: memo {off, on} x n_jobs {1, 2} — four runs, one
     answer, counter for counter on the cold pass."""
     dataset = tiny_spotsigs
-    outputs = []
-    compared = []
-    for pair_memo in (False, True):
+
+    def run_jobs():
+        runs = []
         for n_jobs in (1, 2):
             config = AdaptiveConfig(
-                seed=method_seed,
-                cost_model="analytic",
-                pair_memo=pair_memo,
-                n_jobs=n_jobs,
+                seed=method_seed, cost_model="analytic", n_jobs=n_jobs
             )
             with AdaptiveLSH(dataset.store, dataset.rule, config=config) as m:
-                result = m.run(4)
-            outputs.append(_cluster_lists(result))
-            compared.append(int(result.counters.pairs_compared))
+                runs.append(m.run(4))
+        return runs
+
+    results = [r for runs in _memo_off_then_on(monkeypatch, run_jobs) for r in runs]
+    outputs = [_cluster_lists(result) for result in results]
+    compared = [int(result.counters.pairs_compared) for result in results]
     assert all(out == outputs[0] for out in outputs[1:])
     # Cold runs evaluate every pair exactly once, memo or not.
     assert len(set(compared)) == 1
 
 
-def test_repeated_refine_of_resolved_clusters_is_free(tiny_spotsigs):
+def test_repeated_refine_of_resolved_clusters_is_free(tiny_spotsigs, monkeypatch):
     """Acceptance criterion: refining an already-resolved clustering
     with a warm memo re-verifies nothing — and still produces exactly
     what a memo-off refine of the same clusters would."""
     dataset = tiny_spotsigs
 
-    def run_and_refine(pair_memo):
-        config = AdaptiveConfig(seed=3, cost_model="analytic", pair_memo=pair_memo)
+    def run_and_refine():
+        config = AdaptiveConfig(seed=3, cost_model="analytic")
         with AdaptiveLSH(dataset.store, dataset.rule, config=config) as m:
             first = m.run(4)
             return m.refine([(c.rids, 1) for c in first.clusters], 4)
 
-    baseline = run_and_refine(False)
-    again = run_and_refine(True)
+    baseline, again = _memo_off_then_on(monkeypatch, run_and_refine)
     assert _cluster_lists(again) == _cluster_lists(baseline)
     assert int(again.counters.pairs_compared) == 0
     assert again.pair_memo_stats is not None
     assert again.pair_memo_stats["hits"] > 0
 
 
+def _stream_queries(dataset, **knobs):
+    """Records stream in three batches with a top-4 query after each:
+    every query's clusters, the total pairs compared, and the memo."""
+    batches = np.array_split(np.arange(len(dataset.store), dtype=np.int64), 3)
+    config = AdaptiveConfig(seed=3, cost_model="analytic", **knobs)
+    stream = StreamingTopK(dataset.store, dataset.rule, config=config)
+    outputs, compared = [], 0
+    try:
+        for batch in batches:
+            stream.insert_many(batch)
+            result = stream.top_k(4)
+            outputs.append(_cluster_lists(result))
+            compared += int(result.counters.pairs_compared)
+    finally:
+        stream.method.close()
+    return outputs, compared, stream.method.pair_memo
+
+
 @pytest.mark.parametrize("data_seed", [0, 5])
-def test_streaming_insert_then_refine_identical(data_seed):
+def test_streaming_insert_then_refine_identical(data_seed, monkeypatch):
     """The motivating scenario: records stream in batches with a query
     after each batch.  Every query's output is bit-identical memo on vs
     off, and the memoized replay does strictly less verification."""
     dataset = generate_spotsigs(n_records=360, seed=data_seed)
-    batches = np.array_split(np.arange(len(dataset.store), dtype=np.int64), 3)
-
-    def run(pair_memo):
-        config = AdaptiveConfig(seed=3, cost_model="analytic", pair_memo=pair_memo)
-        stream = StreamingTopK(dataset.store, dataset.rule, config=config)
-        outputs, compared = [], 0
-        try:
-            for batch in batches:
-                stream.insert_many(batch)
-                result = stream.top_k(4)
-                outputs.append(_cluster_lists(result))
-                compared += int(result.counters.pairs_compared)
-        finally:
-            stream.method.close()
-        return outputs, compared
-
-    off_outputs, off_compared = run(False)
-    on_outputs, on_compared = run(True)
+    (off_outputs, off_compared, _), (on_outputs, on_compared, _) = (
+        _memo_off_then_on(monkeypatch, lambda: _stream_queries(dataset))
+    )
     assert on_outputs == off_outputs
     assert on_compared < off_compared
 
 
-def test_session_snapshot_restore_and_extension_identical():
+def test_zero_budget_memo_compares_like_no_memo(monkeypatch):
+    """``pair_memo_bytes=0`` remembers nothing: the streaming scenario
+    compares exactly the pairs it compares with the memo detached."""
+    dataset = generate_spotsigs(n_records=360, seed=0)
+    with monkeypatch.context() as patch:
+        detach_memo(patch)
+        off_outputs, off_compared, _ = _stream_queries(dataset)
+    outputs, compared, memo = _stream_queries(dataset, pair_memo_bytes=0)
+    assert outputs == off_outputs
+    assert compared == off_compared
+    assert memo.frozen
+    assert memo.pairs == 0
+    assert memo.hits == 0
+    assert memo.evictions > 0
+
+
+def test_session_snapshot_restore_and_extension_identical(monkeypatch):
     """`ResolverSession.extend_store` snapshots, restores, and re-seats
     the memo; served results must match the memo-off session before and
     after the extension."""
     base = generate_spotsigs(n_records=300, seed=4)
     extra = generate_spotsigs(n_records=120, seed=17)
 
-    def serve(pair_memo):
-        config = AdaptiveConfig(seed=3, cost_model="analytic", pair_memo=pair_memo)
+    def serve():
+        config = AdaptiveConfig(seed=3, cost_model="analytic")
         with ResolverSession(base.store, base.rule, config=config) as s:
             before = _cluster_lists(s.top_k(4))
             s.extend_store(extra.store)
             after_result = s.top_k(4)
             return before, _cluster_lists(after_result), after_result
 
-    off_before, off_after, _ = serve(False)
-    on_before, on_after, on_result = serve(True)
+    (off_before, off_after, _), (on_before, on_after, on_result) = (
+        _memo_off_then_on(monkeypatch, serve)
+    )
     assert on_before == off_before
     assert on_after == off_after
     stats = on_result.pair_memo_stats

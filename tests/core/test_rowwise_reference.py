@@ -34,15 +34,17 @@ def _memo(mode, store, rule, rids, seeded):
     unordered pairs whose true verdicts are remembered up front."""
     if mode == "none":
         return None
-    memo = PairVerdictMemo(max_bytes=1 if mode == "frozen" else 64 << 20)
+    # A frozen memo's budget holds exactly the initial table, so the
+    # seeded verdicts land before the filler below freezes it.
+    memo = PairVerdictMemo(max_bytes=4096 * 9 if mode == "frozen" else 64 << 20)
     memo.bind(store, rule)
     tri_i, tri_j = np.triu_indices(rids.size, k=1)
     a, b = rids[tri_i[seeded]], rids[tri_j[seeded]]
     memo.record(pack_pair_keys(a, b), rule.match_pairs(store, a, b))
     if mode == "frozen":
         # More pairs than the initial table holds under its load
-        # ceiling: the one-byte budget forbids the growth, so the memo
-        # freezes and drops them all.
+        # ceiling: the budget forbids the growth, so the memo freezes
+        # and drops them all.
         filler = np.arange(1 << 20, (1 << 20) + 3000, dtype=np.int64)
         memo.record(pack_pair_keys(filler, filler + 5000), np.ones(3000, bool))
         assert memo.frozen

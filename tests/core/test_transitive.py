@@ -6,6 +6,7 @@ import pytest
 from repro.core.result import WorkCounters
 from repro.core.transitive import TransitiveHashingFunction
 from repro.distance import CosineDistance, ThresholdRule
+from repro.lsh.binindex import SchemeBinIndex
 from repro.lsh.design import build_design_context, design_scheme
 from tests.conftest import make_vector_store
 
@@ -16,7 +17,8 @@ def make_function(budget=320, seed=0, threshold=10 / 180.0, store=None):
     rule = ThresholdRule(CosineDistance("vec"), threshold)
     ctx = build_design_context(store, rule, seed=seed)
     design = design_scheme(ctx, budget)
-    return store, TransitiveHashingFunction(1, design)
+    bins = SchemeBinIndex(len(store)).level(1)
+    return store, TransitiveHashingFunction(1, design, bins)
 
 
 class TestApply:

@@ -1,17 +1,152 @@
-"""Reference key packing for the bin-index tests.
+"""Reference grouping and key packing for the bin-index tests.
 
 The production path (:mod:`repro.lsh.binindex`) builds key words and
-fingerprints straight from the signature pools and never materializes
-packed key rows.  These helpers keep the original row-based definitions
-— packed key bytes from :meth:`HashingScheme.table_key_rows`, read as
-big-endian words and mixed with splitmix64 — so the tests can pin the
-pool path against them bit for bit.
+fingerprints straight from the signature pools, never materializes
+packed key rows, and groups a whole level at once.  This module keeps
+the original definitions as the reference:
+
+* packed key rows per table (:func:`table_key_rows`), their bytes
+  (:func:`iter_table_keys`) and the per-table void-argsort collision
+  groups (:func:`iter_table_collisions`);
+* the parent-pointer forest replay of those groups that
+  :meth:`TransitiveHashingFunction.apply` used to run
+  (:func:`reference_apply`), and the per-table ``bytes -> rid`` dict
+  tables that streaming ingest used to maintain
+  (:func:`reference_ingest`); :func:`use_reference_grouping` swaps both
+  in, so an identity test compares production against them.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.core.transitive import TransitiveHashingFunction
 from repro.kernels.base import _splitmix64
+from repro.online import StreamingTopK
+from repro.structures.parent_pointer_tree import ParentPointerForest
+
+
+# ----------------------------------------------------------------------
+# Per-table keys and collision groups of a scheme
+def iter_table_blocks(scheme, rids):
+    """Per-table contiguous key blocks of shape (m, hashes_per_table)."""
+    rids = np.asarray(rids, dtype=np.int64)
+    for group in scheme.groups:
+        sigs = [
+            np.ascontiguousarray(
+                use.pool.signatures(rids, use.offset + group.z * use.w)
+            )
+            for use in group.uses
+        ]
+        for j in range(group.z):
+            parts = [
+                sig[:, use.offset + j * use.w : use.offset + (j + 1) * use.w]
+                for sig, use in zip(sigs, group.uses)
+            ]
+            block = parts[0] if len(parts) == 1 else np.hstack(parts)
+            yield np.ascontiguousarray(block)
+
+
+def table_key_rows(scheme, rids):
+    """All tables' keys for ``rids`` packed into one uint8 matrix.
+
+    Returns ``(rows, layout)``: ``rows[i]`` is record ``i``'s keys for
+    every table concatenated as raw bytes, and ``layout`` holds each
+    table's ``(offset, nbytes)`` span.
+    """
+    parts = []
+    layout = []
+    offset = 0
+    for block in iter_table_blocks(scheme, rids):
+        # A C-contiguous uint8 view widens the last axis to
+        # (m, w * itemsize) — the per-record raw bytes.
+        part = block.view(np.uint8)
+        layout.append((offset, int(part.shape[1])))
+        offset += int(part.shape[1])
+        parts.append(part)
+    rows = parts[0] if len(parts) == 1 else np.hstack(parts)
+    return np.ascontiguousarray(rows), layout
+
+
+def iter_table_keys(scheme, rids):
+    """For every table, the per-record bucket keys as ``bytes``."""
+    rows, layout = table_key_rows(scheme, rids)
+    for offset, nbytes in layout:
+        buf = rows[:, offset : offset + nbytes].tobytes()
+        yield [buf[i : i + nbytes] for i in range(0, len(buf), nbytes)]
+
+
+def iter_table_collisions(scheme, rids):
+    """For every table, the bucket collision groups: arrays of row
+    positions (indices into ``rids``) that share a bucket, in the
+    void-argsort (byte-lexicographic) order of their keys."""
+    for block in iter_table_blocks(scheme, rids):
+        void = block.view(
+            np.dtype((np.void, block.dtype.itemsize * block.shape[1]))
+        ).ravel()
+        order = np.argsort(void, kind="stable")
+        sorted_keys = void[order]
+        change = np.empty(order.size, dtype=bool)
+        change[0] = True
+        change[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.nonzero(change)[0]
+        ends = np.r_[starts[1:], order.size]
+        yield [order[s:e] for s, e in zip(starts, ends) if e - s >= 2]
+
+
+# ----------------------------------------------------------------------
+# The reference grouping paths
+def reference_apply(self, rids, counters=None):
+    """``TransitiveHashingFunction.apply`` as a per-table forest replay:
+    fresh tables per call, group members unioned into the head's tree
+    table by table, one cluster per root in leaf order."""
+    rids = np.asarray(rids, dtype=np.int64)
+    forest = ParentPointerForest()
+    int_rids = rids.tolist()
+    for rid in int_rids:
+        forest.make_singleton(rid)
+    for collision_groups in iter_table_collisions(self.scheme, rids):
+        for rows in collision_groups:
+            anchor = int_rids[int(rows[0])]
+            for pos in rows[1:]:
+                forest.union_records(anchor, int_rids[int(pos)])
+    if counters is not None:
+        counters.table_inserts += len(int_rids) * self.scheme.table_count
+    return [
+        np.fromiter(
+            ParentPointerForest.leaves(root), dtype=np.int64, count=root.n_leaves
+        )
+        for root in forest.roots()
+    ]
+
+
+def reference_ingest(self, fresh):
+    """``StreamingTopK`` ingest through per-table ``bytes -> rid`` dicts:
+    a new record joins the last record seen in each of its buckets."""
+    if not hasattr(self, "_reference_tables"):
+        self._adaptive.prepare()
+        scheme = self._adaptive._functions[0].scheme
+        self._reference_tables = (
+            scheme,
+            [dict() for _ in range(scheme.table_count)],
+        )
+    scheme, tables = self._reference_tables
+    self._inserted[fresh] = True
+    for table, keys in zip(tables, iter_table_keys(scheme, fresh)):
+        for rid, key in zip(fresh.tolist(), keys):
+            prev = table.get(key)
+            if prev is not None:
+                self._uf.union(rid, prev)
+            table[key] = rid
+
+
+def use_reference_grouping(monkeypatch):
+    """Route every hashing function and every stream through the
+    reference paths for the rest of the test.  Streams then export no
+    carry state, so a session's successor stream re-inserts the whole
+    extended store into fresh dict tables."""
+    monkeypatch.setattr(TransitiveHashingFunction, "apply", reference_apply)
+    monkeypatch.setattr(StreamingTopK, "_ingest", reference_ingest)
+    monkeypatch.setattr(StreamingTopK, "carry_state", lambda self: None)
 
 
 def pack_key_words(rows):
@@ -76,7 +211,7 @@ def csr_to_groups(members, starts):
 
 def legacy_groups_of_level(scheme, rids):
     """Every table's void-argsort collision groups, table by table."""
-    return [g for groups in scheme.iter_table_collisions(rids) for g in groups]
+    return [g for groups in iter_table_collisions(scheme, rids) for g in groups]
 
 
 def legacy_edges(scheme, rids):
@@ -101,7 +236,7 @@ def dict_partition(scheme, batches, n):
     uf = UnionFind(n)
     tables = [dict() for _ in range(scheme.table_count)]
     for batch in batches:
-        for table, keys in zip(tables, scheme.iter_table_keys(batch)):
+        for table, keys in zip(tables, iter_table_keys(scheme, batch)):
             for rid_raw, key in zip(batch, keys):
                 rid = int(rid_raw)
                 prev = table.get(key)

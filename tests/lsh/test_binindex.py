@@ -17,19 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import AdaptiveConfig
 from repro.core.result import WorkCounters
 from repro.core.transitive import TransitiveHashingFunction
-from repro.errors import ConfigurationError
 from repro.lsh import binindex
-from repro.lsh.binindex import (
-    BIN_INDEX_ENV,
-    H1DeltaIndex,
-    SchemeBinIndex,
-    group_table,
-    key_words,
-    resolve_bin_index,
-)
+from repro.lsh.binindex import H1DeltaIndex, SchemeBinIndex, group_table, key_words
 from repro.lsh.families import SignaturePool
 from repro.lsh.minhash import MinHashFamily
 from repro.lsh.scheme import HashingScheme, PoolUse, TableGroup
@@ -47,6 +38,7 @@ from tests.lsh.keyref import (
     legacy_groups_of_level,
     mixed_store,
     pack_key_words,
+    reference_apply,
     roots_of,
     scheme_specs,
     strided_key_words,
@@ -54,8 +46,8 @@ from tests.lsh.keyref import (
 
 
 def legacy_groups(rows):
-    """The void-argsort reference grouping from
-    ``HashingScheme.iter_table_collisions``, inlined byte for byte."""
+    """The void-argsort reference grouping of
+    :func:`tests.lsh.keyref.iter_table_collisions`, over raw rows."""
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
     if rows.shape[0] == 0:
         return []
@@ -178,39 +170,6 @@ class TestWords:
         np.testing.assert_array_equal(by_words, np.array(by_bytes))
 
 
-class TestResolve:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(BIN_INDEX_ENV, "0")
-        assert resolve_bin_index(True) is True
-        assert resolve_bin_index(False) is False
-
-    def test_env_values(self, monkeypatch):
-        monkeypatch.delenv(BIN_INDEX_ENV, raising=False)
-        assert resolve_bin_index() is True
-        for raw, expected in [
-            ("1", True),
-            ("true", True),
-            ("on", True),
-            ("0", False),
-            ("no", False),
-            ("off", False),
-        ]:
-            monkeypatch.setenv(BIN_INDEX_ENV, raw)
-            assert resolve_bin_index() is expected
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(BIN_INDEX_ENV, "maybe")
-        with pytest.raises(ConfigurationError):
-            resolve_bin_index()
-
-    def test_config_knob_round_trips(self):
-        cfg = AdaptiveConfig(bin_index=False, bin_index_bytes=1024)
-        d = cfg.to_dict()
-        assert d["bin_index"] is False
-        assert d["bin_index_bytes"] == 1024
-        assert AdaptiveConfig.from_dict(d).bin_index is False
-
-
 @pytest.fixture(scope="module")
 def h1_scheme():
     store, _ = make_shingle_store(seed=5)
@@ -236,7 +195,7 @@ class TestH1DeltaIndex:
         assert isinstance(delta, H1DeltaIndex)
         uf = UnionFind(n)
         for batch in batches:
-            assert delta.insert(batch, uf)
+            delta.insert(batch, uf)
         assert delta.indexed_records == n
         assert canonical(roots_of(uf, n)) == canonical(
             dict_partition(scheme, batches, n)
@@ -263,7 +222,7 @@ class TestH1DeltaIndex:
             binindex, "table_fingerprints", FINGERPRINT_REGIMES[regime]
         ):
             for batch in batches:
-                assert delta.insert(batch, uf)
+                delta.insert(batch, uf)
         assert canonical(roots_of(uf, n)) == canonical(
             dict_partition(scheme, batches, n)
         )
@@ -277,14 +236,14 @@ class TestH1DeltaIndex:
         owner = SchemeBinIndex(n)
         delta = owner.h1_delta(scheme)
         uf = UnionFind(n)
-        assert delta.insert(first, uf)
+        delta.insert(first, uf)
         state = delta.export_state()
 
         successor_owner = SchemeBinIndex(n)
-        successor = successor_owner.h1_delta(scheme, state=state)
-        assert successor is not None
+        successor = successor_owner.h1_delta(scheme)
+        assert successor.adopt_state(state)
         assert successor.indexed_records == first.size
-        assert successor.insert(rest, uf)
+        successor.insert(rest, uf)
         assert canonical(roots_of(uf, n)) == canonical(
             dict_partition(scheme, [rids], n)
         )
@@ -295,37 +254,46 @@ class TestH1DeltaIndex:
         owner = SchemeBinIndex(len(store))
         delta = owner.h1_delta(scheme)
         uf = UnionFind(len(store))
-        assert delta.insert(np.arange(4, dtype=np.int64), uf)
+        delta.insert(np.arange(4, dtype=np.int64), uf)
         state = delta.export_state()
         state["table_count"] = scheme.table_count + 1
-        assert owner.h1_delta(scheme, state=state) is None
+        cold = owner.h1_delta(scheme)
+        assert not cold.adopt_state(state)
+        assert cold.indexed_records == 0
 
-    def test_adopt_rejects_over_budget(self, h1_scheme):
+    def test_adopt_over_budget_still_adopts(self, h1_scheme):
+        """The delta arrays are partition state: a zero budget counts
+        their bytes but never refuses them."""
         store, scheme = h1_scheme
         owner = SchemeBinIndex(len(store))
         delta = owner.h1_delta(scheme)
         uf = UnionFind(len(store))
-        assert delta.insert(np.arange(8, dtype=np.int64), uf)
+        delta.insert(np.arange(8, dtype=np.int64), uf)
         state = delta.export_state()
         broke = SchemeBinIndex(len(store), max_bytes=0)
-        assert broke.h1_delta(scheme, state=state) is None
-        assert broke.degraded == 1
+        successor = broke.h1_delta(scheme)
+        assert successor.adopt_state(state)
+        assert successor.indexed_records == 8
+        assert broke.indexed_bytes == 8 * scheme.table_count * 16
+        assert broke.degraded == 0
 
-    def test_insert_over_budget_returns_false_without_mutation(
-        self, h1_scheme
-    ):
+    def test_insert_over_budget_still_indexes(self, h1_scheme):
         store, scheme = h1_scheme
+        n = len(store)
+        rids = np.arange(n, dtype=np.int64)
         # Enough budget for the fingerprint matrix but not the arrays.
-        owner = SchemeBinIndex(
-            len(store), max_bytes=len(store) * (scheme.table_count * 8 + 1)
-        )
+        matrix = n * (scheme.table_count * 8 + 1)
+        owner = SchemeBinIndex(n, max_bytes=matrix)
         delta = owner.h1_delta(scheme)
-        uf = UnionFind(len(store))
-        before = roots_of(uf, len(store))
-        assert delta.insert(np.arange(10, dtype=np.int64), uf) is False
-        assert owner.degraded == 1
-        assert delta.indexed_records == 0
-        assert roots_of(uf, len(store)) == before
+        uf = UnionFind(n)
+        delta.insert(rids[:10], uf)
+        delta.insert(rids[10:], uf)
+        assert owner.degraded == 0
+        assert delta.indexed_records == n
+        assert owner.indexed_bytes == matrix + n * scheme.table_count * 16
+        assert canonical(roots_of(uf, n)) == canonical(
+            dict_partition(scheme, [rids[:10], rids[10:]], n)
+        )
 
 
 def level_groups(bins, scheme, rids):
@@ -424,12 +392,15 @@ def apply_both(scheme, n, subsets, regime):
     """Clusters and counters of each subset, through the reference
     forest path and through one level-at-once bin index (whose cached
     fingerprints the later subsets reuse)."""
-    fn = TransitiveHashingFunction(1, SimpleNamespace(to_scheme=lambda: scheme))
+    fn = TransitiveHashingFunction(
+        1, SimpleNamespace(to_scheme=lambda: scheme), SchemeBinIndex(n).level(1)
+    )
     expected = []
     for rids in subsets:
         counters = WorkCounters()
-        expected.append((fn.apply(rids, counters), counters.table_inserts))
-    fn.bin_index = SchemeBinIndex(n).level(1)
+        expected.append(
+            (reference_apply(fn, rids, counters), counters.table_inserts)
+        )
     got = []
     with mock.patch.object(
         binindex, "table_fingerprints", FINGERPRINT_REGIMES[regime]
@@ -442,8 +413,9 @@ def apply_both(scheme, n, subsets, regime):
 
 class TestLevelEquivalence:
     """Level-at-once grouping plus distinct edges against the reference
-    ``iter_table_collisions`` + ``ParentPointerForest`` path: cluster
-    content, leaf order and cluster order must all match."""
+    per-table collisions + ``ParentPointerForest`` replay of
+    :func:`tests.lsh.keyref.reference_apply`: cluster content, leaf
+    order and cluster order must all match."""
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -16,6 +16,7 @@ from repro.lsh.probability import (
 )
 from repro.lsh.scheme import HashingScheme, PoolUse, TableGroup
 from tests.conftest import make_vector_store
+from tests.lsh.keyref import iter_table_blocks, iter_table_keys
 from tests.lsh.test_design import FakeComponent, linear_p
 
 
@@ -90,9 +91,9 @@ class TestPoolOffsets:
         base = HashingScheme([TableGroup(1, (PoolUse(pool, 4, offset=0),))])
         shifted = HashingScheme([TableGroup(1, (PoolUse(pool, 4, offset=4),))])
         again = HashingScheme([TableGroup(1, (PoolUse(pool, 4, offset=0),))])
-        keys_base = next(iter(base.iter_table_keys(rids)))
-        keys_shift = next(iter(shifted.iter_table_keys(rids)))
-        keys_again = next(iter(again.iter_table_keys(rids)))
+        keys_base = next(iter(iter_table_keys(base, rids)))
+        keys_shift = next(iter(iter_table_keys(shifted, rids)))
+        keys_again = next(iter(iter_table_keys(again, rids)))
         assert keys_base == keys_again
         assert keys_base != keys_shift
 
@@ -100,7 +101,7 @@ class TestPoolOffsets:
         pool = self._pool()
         rids = np.arange(10)
         scheme = HashingScheme([TableGroup(2, (PoolUse(pool, 3, offset=5),))])
-        blocks = list(scheme._iter_table_blocks(rids))
+        blocks = list(iter_table_blocks(scheme, rids))
         sigs = pool.signatures(rids, 5 + 2 * 3)
         assert np.array_equal(blocks[0], sigs[:, 5:8])
         assert np.array_equal(blocks[1], sigs[:, 8:11])

@@ -1,4 +1,5 @@
-"""Tests for (w, z)-scheme table layouts and collision grouping."""
+"""Tests for (w, z)-scheme table layouts, through the reference key
+and collision helpers that the bin index is pinned against."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.lsh.hyperplanes import RandomHyperplaneFamily
 from repro.lsh.minhash import MinHashFamily
 from repro.lsh.scheme import HashingScheme, PoolUse, TableGroup
 from tests.conftest import make_shingle_store, make_vector_store
+from tests.lsh.keyref import iter_table_collisions, iter_table_keys
 
 
 @pytest.fixture()
@@ -69,7 +71,7 @@ class TestKeysAndCollisions:
     def test_key_count_matches_tables(self, vector_pool):
         scheme = HashingScheme([TableGroup(7, (PoolUse(vector_pool, 3),))])
         rids = np.arange(9)
-        tables = list(scheme.iter_table_keys(rids))
+        tables = list(iter_table_keys(scheme, rids))
         assert len(tables) == 7
         assert all(len(keys) == 9 for keys in tables)
 
@@ -77,14 +79,14 @@ class TestKeysAndCollisions:
         store, _ = make_vector_store(cluster_sizes=(2,), n_noise=0, scale=0.0)
         pool = SignaturePool(RandomHyperplaneFamily(store, "vec", seed=1))
         scheme = HashingScheme([TableGroup(6, (PoolUse(pool, 4),))])
-        for keys in scheme.iter_table_keys(np.array([0, 1])):
+        for keys in iter_table_keys(scheme, np.array([0, 1])):
             assert keys[0] == keys[1]
 
     def test_collision_groups_match_key_equality(self, shingle_pool):
         scheme = HashingScheme([TableGroup(8, (PoolUse(shingle_pool, 1),))])
         rids = np.arange(20)
-        keys_by_table = list(scheme.iter_table_keys(rids))
-        groups_by_table = list(scheme.iter_table_collisions(rids))
+        keys_by_table = list(iter_table_keys(scheme, rids))
+        groups_by_table = list(iter_table_collisions(scheme, rids))
         assert len(keys_by_table) == len(groups_by_table)
         for keys, groups in zip(keys_by_table, groups_by_table):
             expected: dict = {}
@@ -98,7 +100,7 @@ class TestKeysAndCollisions:
 
     def test_collision_groups_have_no_singletons(self, vector_pool):
         scheme = HashingScheme([TableGroup(4, (PoolUse(vector_pool, 2),))])
-        for groups in scheme.iter_table_collisions(np.arange(30)):
+        for groups in iter_table_collisions(scheme, np.arange(30)):
             assert all(len(g) >= 2 for g in groups)
 
     def test_multi_pool_keys_concatenate(self, vector_pool, shingle_pool):
@@ -107,11 +109,12 @@ class TestKeysAndCollisions:
         group = TableGroup(3, (PoolUse(vector_pool, 2), PoolUse(shingle_pool, 2)))
         scheme = HashingScheme([group])
         rids = np.arange(12)
-        and_keys = list(scheme.iter_table_keys(rids))
+        and_keys = list(iter_table_keys(scheme, rids))
         only_vec = list(
-            HashingScheme(
-                [TableGroup(3, (PoolUse(vector_pool, 2),))]
-            ).iter_table_keys(rids)
+            iter_table_keys(
+                HashingScheme([TableGroup(3, (PoolUse(vector_pool, 2),))]),
+                rids,
+            )
         )
         for table_and, table_vec in zip(and_keys, only_vec):
             for i in range(len(rids)):
@@ -122,8 +125,8 @@ class TestKeysAndCollisions:
     def test_incremental_reuse_across_schemes(self, vector_pool):
         """A bigger scheme over the same pool recomputes nothing."""
         small = HashingScheme([TableGroup(4, (PoolUse(vector_pool, 3),))])
-        list(small.iter_table_keys(np.arange(10)))
+        list(iter_table_keys(small, np.arange(10)))
         computed = vector_pool.hashes_computed
         big = HashingScheme([TableGroup(8, (PoolUse(vector_pool, 3),))])
-        list(big.iter_table_keys(np.arange(10)))
+        list(iter_table_keys(big, np.arange(10)))
         assert vector_pool.hashes_computed == computed + 10 * 12

@@ -34,6 +34,28 @@ class TestIngest:
         with pytest.raises(ConfigurationError):
             stream.insert_many(np.array([5]))
 
+    @pytest.mark.parametrize(
+        "batch", [[15, 15, 16], [-1], [12, -3], [10**6], [14, 10**6]],
+        ids=["repeat", "negative", "negative-tail", "too-large", "too-large-tail"],
+    )
+    def test_insert_many_rejects_bad_batch_unchanged(self, stream, batch):
+        stream.insert_many(np.arange(10))
+        indexed = stream.delta_index.indexed_records
+        with pytest.raises(ConfigurationError):
+            stream.insert_many(np.array(batch))
+        assert stream.n_seen == 10
+        assert stream.delta_index.indexed_records == indexed
+        stream.insert_many(np.arange(10, 20))
+        assert stream.n_seen == 20
+
+    @pytest.mark.parametrize("rid", [-1, 10**6])
+    def test_insert_rejects_out_of_range_rid(self, stream, rid):
+        stream.insert(0)
+        with pytest.raises(ConfigurationError):
+            stream.insert(rid)
+        assert stream.n_seen == 1
+        assert stream.delta_index.indexed_records == 1
+
     def test_query_without_records(self, stream):
         with pytest.raises(ConfigurationError):
             stream.top_k(1)

@@ -49,10 +49,14 @@ def test_fingerprint_cache_hits_on_rerun_and_preserves_output():
     assert second.info["bin_index"]["fp_hits"] > 0
     assert _clusters(first) == _clusters(second)
 
-    unindexed = AdaptiveLSH(store, rule, config=AdaptiveConfig(seed=2, cost_model="analytic", bin_index=False)).run(5)
-    assert "bin_index" not in unindexed.info
-    assert "signature_cache" not in unindexed.info
-    assert _clusters(first) == _clusters(unindexed)
+    # No room for fingerprint matrices: every level is a pass-through.
+    uncached = AdaptiveLSH(store, rule, config=AdaptiveConfig(seed=2, cost_model="analytic"))
+    uncached.bin_index.max_bytes = 0
+    passthrough = uncached.run(5)
+    assert passthrough.info["bin_index"]["bytes"] == 0
+    assert passthrough.info["bin_index"]["degraded"] > 0
+    assert "signature_cache" not in passthrough.info
+    assert _clusters(first) == _clusters(passthrough)
 
 
 def test_env_knob_reaches_adaptive(monkeypatch):

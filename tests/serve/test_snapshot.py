@@ -76,6 +76,26 @@ class TestRoundTrip:
         assert _result_key(warm) == _result_key(cold)
         assert method.warm_started
 
+    def test_config_with_retired_toggles_restores(self, tmp_path):
+        """Snapshots written while the pair memo and the bin index could
+        be switched off carry those keys in their config; they still
+        restore and run bit-identically."""
+        dataset = _generate("spotsigs", seed=7)
+        config = AdaptiveConfig(seed=7, cost_model="analytic")
+        with AdaptiveLSH(dataset.store, dataset.rule, config=config) as cold:
+            cold_result = cold.run(4)
+            snap = IndexSnapshot.capture(cold)
+        snap.header["config"].update(
+            pair_memo=None, bin_index=None, bin_index_bytes=128 << 20
+        )
+        path = tmp_path / "older.npz"
+        snap.save(path)
+        warm = IndexSnapshot.load(path).restore(dataset.store)
+        try:
+            assert _result_key(warm.run(4)) == _result_key(cold_result)
+        finally:
+            warm.close()
+
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_bit_identical_across_seeds(self, seed, tmp_path):
         dataset = _generate("querylog", seed=seed)
