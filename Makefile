@@ -43,9 +43,6 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Fast subset used by the CI smoke job (no REPRO_FULL).  Also emits
-# BENCH_parallel.json: serial-vs-parallel timings of a pairwise-heavy
-# scenario plus the host cpu_count (speedup is only meaningful on
-# multi-core machines) and an identical-output check;
 # BENCH_serve.json: cold-vs-warm-start timings proving a snapshot
 # restore skips prepare() and stays bit-identical;
 # BENCH_memo.json: pairs_compared with the pair-verdict memo off vs on
@@ -55,7 +52,6 @@ bench:
 bench-smoke:
 	pytest benchmarks/bench_fig05_probability.py benchmarks/bench_fig08_cora.py \
 		--benchmark-only -q --benchmark-json=bench-smoke.json
-	python benchmarks/parallel_smoke.py --out BENCH_parallel.json
 	python benchmarks/serve_smoke.py --out BENCH_serve.json
 	python benchmarks/bench_memo.py --out BENCH_memo.json
 	python benchmarks/bench_topk_macro.py --out BENCH_topk.json

@@ -365,20 +365,20 @@ class BlockingAsyncCallRule(Rule):
 class ForkUnsafeStateRule(Rule):
     """R9: no fork-hostile state at import time in ``parallel/``.
 
-    The execution pool forks workers that inherit the parent address
+    The shard service forks workers that inherit the parent address
     space; a lock created at module scope forks *held-or-not* by
     accident, a module-level thread never exists in the child, and a
     module-level RNG silently gives every worker the same stream.  All
-    such state must be constructed per-pool (inside functions/methods)
-    so each process owns its copy deliberately.
+    such state must be constructed per-process (inside functions or
+    methods) so each process owns its copy deliberately.
     """
 
     id = "R9"
     title = "fork-unsafe state created at import time in parallel/"
 
     _SUGGESTION = (
-        "construct threads/locks/RNGs inside the pool or worker "
-        "initializer, never at module import"
+        "construct threads/locks/RNGs inside the worker process, "
+        "never at module import"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

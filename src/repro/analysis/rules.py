@@ -49,7 +49,6 @@ DOCUMENTED_INFO_KEYS = frozenset(
         "designs",
         "selection",
         "records_per_level",
-        "parallel",
         "components",
         "n_hashes",
         "design",

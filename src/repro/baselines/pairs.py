@@ -24,17 +24,10 @@ class PairsBaseline:
         store: RecordStore,
         rule: MatchRule,
         pairwise_strategy: str = "auto",
-        n_jobs: int | None = None,
     ):
         self.store = store
         self.rule = rule
-        self._pairwise = PairwiseComputation(
-            store, rule, strategy=pairwise_strategy, n_jobs=n_jobs
-        )
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op when running serial)."""
-        self._pairwise.close()
+        self._pairwise = PairwiseComputation(store, rule, strategy=pairwise_strategy)
 
     def run(self, k: int) -> FilterResult:
         """Compute all components and return the ``k`` largest."""
@@ -50,8 +43,6 @@ class PairsBaseline:
             "method": self.name,
             "components": len(clusters),
         }
-        if self._pairwise.pool is not None:
-            info["parallel"] = self._pairwise.pool.stats()
         return FilterResult.from_clusters(
             clusters[:k],
             counters,

@@ -32,7 +32,6 @@ from ..lsh.design import DesignContext, SchemeDesign, design_sequence
 from ..lsh.families import SignaturePool
 from ..obs import DISABLED, RoundEvent, RunObserver, RunReport
 from ..obs.clock import monotonic
-from ..parallel.pool import ExecutionPool, resolve_n_jobs
 from ..records import RecordStore
 from ..rngutil import SeedLike, keyed_rng, make_rng, stable_seed
 from ..structures.bin_index import BinIndex
@@ -58,7 +57,7 @@ class AdaptiveLSH:
     config:
         An :class:`~repro.core.config.AdaptiveConfig` holding every
         tuning knob (budgets, epsilon, seed, cost model, selection,
-        jump policy, parallelism, caching); defaults apply when
+        jump policy, caching); defaults apply when
         omitted.  This is the only construction surface — the
         pre-config keyword arguments were removed after a deprecation
         cycle.
@@ -70,12 +69,10 @@ class AdaptiveLSH:
 
     Notes
     -----
-    ``config.n_jobs`` is the worker-process count for signature batches
-    and blocked pairwise evaluation; ``None`` defers to the
-    ``REPRO_N_JOBS`` environment variable (default serial).
-    Results are bit-identical for every worker count.  Call
-    :meth:`close` (or use the instance as a context manager) to shut
-    the worker pool down.
+    One query runs in one process; the shard service
+    (:mod:`repro.serve`) is the only parallelism.  :meth:`close` and the
+    context-manager protocol are the lifecycle surface and currently
+    release nothing.
 
     A prepared instance can be frozen to disk with
     :class:`~repro.serve.IndexSnapshot` and warm-started later through
@@ -121,11 +118,6 @@ class AdaptiveLSH:
         self._noise_factor = cfg.noise_factor
         self._analytic_pair_cost = cfg.analytic_pair_cost
         self._cost_model_spec = cfg.cost_model
-        #: Resolved worker count; 1 means everything runs in-process.
-        self.n_jobs = resolve_n_jobs(cfg.n_jobs)
-        self._exec_pool: ExecutionPool | None = (
-            ExecutionPool(store, self.n_jobs) if self.n_jobs > 1 else None
-        )
         #: Cross-round pair-verdict memo shared by the pairwise function
         #: and the lookahead density sampler.
         self._pair_memo = PairVerdictMemo(max_bytes=cfg.pair_memo_bytes)
@@ -133,7 +125,6 @@ class AdaptiveLSH:
             store,
             rule,
             strategy=cfg.pairwise_strategy,
-            pool=self._exec_pool,
             memo=self._pair_memo,
         )
         #: Persistent fingerprint bin index: every level's grouping and
@@ -153,18 +144,6 @@ class AdaptiveLSH:
         #: :meth:`run`/:meth:`refine` (``None`` when observability is
         #: off or before the first run).
         self.last_report: RunReport | None = None
-
-    @property
-    def trace(self) -> list[dict[str, Any]]:
-        """Back-compat view of the structured round events.
-
-        Returns the pre-observability schema: one dict per round with
-        ``round``, ``action``, ``size``, ``from_level``,
-        ``subclusters`` and ``largest_out`` keys.  The structured
-        events themselves (with per-round wall-time and cost-model
-        predictions) live in ``self.obs.rounds``.
-        """
-        return [event.legacy_dict() for event in self.obs.rounds]
 
     # ------------------------------------------------------------------
     def prepare(self) -> None:
@@ -218,7 +197,7 @@ class AdaptiveLSH:
         )
 
     def _install_prepared_state(self) -> None:
-        """Wire functions, pools, observer, executor, and bin index from
+        """Wire functions, pools, observer, and bin index from
         ``self._ctx`` / ``self._designs`` / ``self.cost_model`` — the
         shared tail of cold :meth:`_prepare` and warm
         :meth:`adopt_prepared_state`."""
@@ -237,13 +216,6 @@ class AdaptiveLSH:
         self._bin_index.observer = self.obs
         for pool in self._pools:
             pool.observer = self.obs
-        if self._exec_pool is not None:
-            self._exec_pool.observer = self.obs
-            for pool in self._pools:
-                pool.executor = self._exec_pool
-                # Registered before the first fork so workers inherit
-                # the family objects (parameters included) for free.
-                self._exec_pool.register_family(pool.family)
         self._pair_memo.observer = self.obs
         # Establish (or re-validate) the memo's (store, rule) binding;
         # remembered verdicts survive exactly when both fingerprints
@@ -310,9 +282,7 @@ class AdaptiveLSH:
         memo.bind(self.store, self.rule)
 
     def close(self) -> None:
-        """Shut down the worker pool (no-op when running serial)."""
-        if self._exec_pool is not None:
-            self._exec_pool.close()
+        """Release held resources (none today; kept as the lifecycle API)."""
 
     def __enter__(self) -> AdaptiveLSH:
         return self
@@ -391,9 +361,7 @@ class AdaptiveLSH:
         )
 
     def _add_execution_info(self, info: dict[str, Any]) -> None:
-        """Attach pool/cache execution stats to a result info dict."""
-        if self._exec_pool is not None:
-            info["parallel"] = self._exec_pool.stats()
+        """Attach cache execution stats to a result info dict."""
         info["memoized_pairs"] = self._pair_memo.stats()
         info["bin_index"] = self._bin_index.stats()
         backing = self.store.backing

@@ -1,7 +1,7 @@
 """Frozen configuration object for :class:`~repro.core.adaptive.AdaptiveLSH`.
 
 The adaptive method grew a sprawling constructor (budgets, epsilon,
-seed, cost model, noise, selection, jump policy, parallelism, caching);
+seed, cost model, noise, selection, jump policy, caching);
 :class:`AdaptiveConfig` consolidates all of it into one immutable,
 comparable value that every entry point — ``AdaptiveLSH``,
 ``adaptive_filter``, ``TopKPipeline``, ``StreamingTopK``, the CLI, and
@@ -55,6 +55,9 @@ class AdaptiveConfig:
     jump_policy: str = "line5"
     lookahead_samples: int = 32
     lookahead_density: float = 0.6
+    #: Accepts only ``None`` or ``1``, both meaning serial: one query
+    #: runs in one process and the shard service is the only
+    #: parallelism.  Kept so existing ``n_jobs=1`` callers construct.
     n_jobs: int | None = None
     #: Byte budget of the cross-round pair-verdict memo; a budget below
     #: its initial table makes it remember nothing.
@@ -82,6 +85,12 @@ class AdaptiveConfig:
                 f"cost_model must be 'calibrate', 'analytic', or a CostModel, "
                 f"got {self.cost_model!r}"
             )
+        if self.n_jobs not in (None, 1):
+            raise ConfigurationError(
+                f"n_jobs must be None or 1 (one query runs in one process), "
+                f"got {self.n_jobs!r}; run shards with repro.serve for "
+                f"parallelism"
+            )
         object.__setattr__(self, "lookahead_samples", int(self.lookahead_samples))
         object.__setattr__(self, "lookahead_density", float(self.lookahead_density))
         object.__setattr__(self, "pair_memo_bytes", int(self.pair_memo_bytes))
@@ -92,8 +101,7 @@ class AdaptiveConfig:
         ``seed`` and a concrete :class:`CostModel` are excluded — index
         snapshots carry RNG state and the cost model separately, in
         exact form; this dict covers everything rebuildable from plain
-        scalars.  ``n_jobs`` is excluded too: it is a machine-local
-        performance knob that never changes results.
+        scalars.  ``n_jobs`` is excluded too: it can only say serial.
         """
         return {
             "budgets": list(self.budgets) if self.budgets is not None else None,

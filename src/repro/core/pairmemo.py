@@ -18,8 +18,9 @@ Design:
 * a byte budget — when the table would outgrow it, the memo *freezes*:
   existing verdicts keep serving, new pairs pass through unrecorded
   (counted as ``evictions``), and results stay correct either way.  A
-  budget below the initial table freezes the memo from the start, so
-  ``max_bytes=0`` remembers nothing;
+  budget below the initial table freezes the memo from the start with
+  an empty table, so ``max_bytes=0`` remembers nothing and probes
+  nothing;
 * correctness rests on verdict determinism: a pair's verdict is a pure
   function of the store contents and the match rule, so the memo is
   fingerprinted by both (:meth:`PairVerdictMemo.bind`) and clears
@@ -116,13 +117,13 @@ class PairVerdictMemo:
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         self.max_bytes = int(max_bytes)
-        self._keys: IntArray = np.full(_INITIAL_CAPACITY, _EMPTY, dtype=np.int64)
-        self._verdicts = np.zeros(_INITIAL_CAPACITY, dtype=np.uint8)
-        self._pairs = 0
+        self._keys: IntArray
+        self._verdicts: np.ndarray[Any, np.dtype[np.uint8]]
         #: True once the byte budget blocked a growth step (or, for a
         #: budget below the initial table, from the start): existing
         #: verdicts keep serving, new pairs degrade to pass-through.
-        self.frozen = self._over_budget()
+        self.frozen = False
+        self._new_table()
         #: True when the bound store is too large for 32-bit packing;
         #: every lookup misses and nothing is recorded.
         self.disabled = False
@@ -173,11 +174,19 @@ class PairVerdictMemo:
         self._n_records = len(store)
         self._store_fp = store.content_fingerprint()
 
-    def _clear(self) -> None:
-        self._keys = np.full(_INITIAL_CAPACITY, _EMPTY, dtype=np.int64)
-        self._verdicts = np.zeros(_INITIAL_CAPACITY, dtype=np.uint8)
+    def _new_table(self) -> None:
+        """Start an empty table: the initial capacity when the budget
+        holds it, else zero slots and frozen for good (an empty table
+        must never reach :meth:`_ensure_room`, which cannot double 0)."""
+        fits = _INITIAL_CAPACITY * 9 <= self.max_bytes
+        capacity = _INITIAL_CAPACITY if fits else 0
+        self._keys = np.full(capacity, _EMPTY, dtype=np.int64)
+        self._verdicts = np.zeros(capacity, dtype=np.uint8)
         self._pairs = 0
-        self.frozen = self._over_budget()
+        self.frozen = not fits
+
+    def _clear(self) -> None:
+        self._new_table()
         self._rule_fp = None
         self._store_fp = None
         self._n_records = 0
@@ -188,10 +197,6 @@ class PairVerdictMemo:
     @property
     def capacity(self) -> int:
         return int(self._keys.size)
-
-    def _over_budget(self) -> bool:
-        """True when the current table already exceeds the budget."""
-        return self.table_bytes > self.max_bytes
 
     @property
     def pairs(self) -> int:
@@ -242,10 +247,14 @@ class PairVerdictMemo:
         """
         if self.disabled or keys.size == 0:
             return np.zeros(keys.size, dtype=np.uint8)
-        slots = self._find_slots(keys)
-        verdicts: np.ndarray[Any, np.dtype[np.uint8]] = np.where(
-            self._keys[slots] == keys, self._verdicts[slots], UNKNOWN
-        )
+        verdicts: np.ndarray[Any, np.dtype[np.uint8]]
+        if self.capacity:
+            slots = self._find_slots(keys)
+            verdicts = np.where(
+                self._keys[slots] == keys, self._verdicts[slots], UNKNOWN
+            )
+        else:
+            verdicts = np.zeros(keys.size, dtype=np.uint8)
         if count:
             hits = int(np.count_nonzero(verdicts))
             self._record_counts(hits, int(keys.size) - hits, 0)
@@ -265,6 +274,9 @@ class PairVerdictMemo:
         memo is frozen.
         """
         if self.disabled or keys.size == 0:
+            return
+        if not self.capacity:
+            self._record_counts(0, 0, int(keys.size))
             return
         verdicts = np.where(matched, MATCH, NO_MATCH).astype(np.uint8)
         if not self.frozen and not self._ensure_room(int(keys.size)):

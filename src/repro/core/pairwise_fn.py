@@ -10,11 +10,7 @@ share the same semantics:
   clusters Adaptive LSH hands to ``P``.
 * ``blocked`` — vectorized block-matrix evaluation without skipping.
   Best for large sets (the Pairs baseline on whole datasets), where
-  NumPy batch evaluation beats Python-level skipping.  When an
-  :class:`~repro.parallel.pool.ExecutionPool` is attached (and the
-  input clears its size threshold), the row-blocks are fanned across
-  worker processes and their edge lists replayed in serial order, so
-  the parallel result is bit-identical to the serial one.
+  NumPy batch evaluation beats Python-level skipping.
 
 Both strategies consult an optional
 :class:`~repro.core.pairmemo.PairVerdictMemo`.  The rowwise path makes
@@ -26,7 +22,7 @@ computation runs the same loop.  The blocked path masks memoized cells
 out of the matrix evaluations, merging the remembered match edges back
 in exact ``np.nonzero`` enumeration order — so cluster content and leaf
 order stay bit-identical to the memo-off computation for every
-strategy and every ``n_jobs``.
+strategy.
 
 The cost model always charges the conservative ``C(|S|, 2)`` pairs
 (``pairs_charged``); ``pairs_compared`` records the evaluations the
@@ -44,8 +40,6 @@ import numpy as np
 from ..distance.rules import MatchRule
 from ..errors import ConfigurationError
 from ..obs.clock import monotonic
-from ..parallel import worker as parallel_worker
-from ..parallel.pool import ExecutionPool, resolve_n_jobs
 from ..records import RecordStore
 from ..structures.parent_pointer_tree import ParentPointerForest
 from ..structures.union_find import ClusterUnionFind
@@ -112,6 +106,43 @@ def _vertex_cover(edge_i: IntArray, edge_j: IntArray, n: int) -> IntArray:
     return np.asarray(sorted(cover), dtype=np.int64)
 
 
+def evaluate_block_jobs(
+    store: RecordStore,
+    rule: MatchRule,
+    pair_rids: IntArray,
+    rects: list[tuple[IntArray, IntArray]],
+) -> tuple[IntArray, IntArray, list[tuple[IntArray, IntArray]]]:
+    """Evaluate the non-memoized jobs of one row-block.
+
+    ``pair_rids`` is evaluated all-pairs (upper-triangle edges);
+    each ``(rids_a, rids_b)`` rectangle in ``rects`` is evaluated with
+    ``match_block`` (the memo-mask metadata computed by the block plan).
+    Returns match edges in *job-local* coordinates, each list in
+    ``np.nonzero`` row-major order; the caller maps them back through
+    the plan's (sorted, hence order-preserving) index arrays.
+    """
+    if pair_rids.size >= 2:
+        square = rule.pairwise_match(store, pair_rids)
+        raw_i, raw_j = np.nonzero(np.triu(square, k=1))
+        pair_i = np.asarray(raw_i, dtype=np.int64)
+        pair_j = np.asarray(raw_j, dtype=np.int64)
+    else:
+        pair_i = pair_j = _EMPTY_I64
+    rect_edges: list[tuple[IntArray, IntArray]] = []
+    for rids_a, rids_b in rects:
+        if rids_a.size and rids_b.size:
+            raw_a, raw_b = np.nonzero(rule.match_block(store, rids_a, rids_b))
+            rect_edges.append(
+                (
+                    np.asarray(raw_a, dtype=np.int64),
+                    np.asarray(raw_b, dtype=np.int64),
+                )
+            )
+        else:
+            rect_edges.append((_EMPTY_I64, _EMPTY_I64))
+    return pair_i, pair_j, rect_edges
+
+
 class _BlockPlan(NamedTuple):
     """Memo-mask metadata for one row-block of the blocked strategy.
 
@@ -160,8 +191,6 @@ class PairwiseComputation:
         store: RecordStore,
         rule: MatchRule,
         strategy: str = "auto",
-        n_jobs: int | None = None,
-        pool: ExecutionPool | None = None,
         memo: PairVerdictMemo | None = None,
     ) -> None:
         if strategy not in ("auto", "rowwise", "blocked"):
@@ -180,22 +209,6 @@ class PairwiseComputation:
         #: rule)``; :class:`~repro.core.adaptive.AdaptiveLSH` re-binds
         #: on every prepare/adopt.
         self.memo: PairVerdictMemo | None = memo
-        #: Optional :class:`~repro.parallel.pool.ExecutionPool` used by
-        #: the blocked strategy.  Either passed in (shared, e.g. by
-        #: ``AdaptiveLSH``) or created here when ``n_jobs`` resolves to
-        #: more than one worker; a pool created here is owned and shut
-        #: down by :meth:`close`.
-        self.pool: ExecutionPool | None = pool
-        self._owns_pool = False
-        if pool is None and resolve_n_jobs(n_jobs) > 1:
-            self.pool = ExecutionPool(store, n_jobs)
-            self._owns_pool = True
-
-    def close(self) -> None:
-        """Shut down the execution pool if this instance created it."""
-        if self._owns_pool and self.pool is not None:
-            self.pool.close()
-            self.pool = None
 
     def choose_strategy(self, m: int) -> str:
         """The concrete strategy ``apply`` uses for an input of size ``m``."""
@@ -335,10 +348,6 @@ class PairwiseComputation:
         memo = self._active_memo()
         if memo is not None:
             return self._apply_blocked_memo(rids, memo, counters)
-        if self.pool is not None:
-            bundles = self.pool.pairwise_block_edges(self.rule, rids, BLOCK)
-            if bundles is not None:
-                return self._replay_blocked(rids, bundles, counters)
         m = int(rids.size)
         merger = ClusterUnionFind(m)
         compared = 0
@@ -361,34 +370,6 @@ class PairwiseComputation:
             counters.pairs_compared += compared
         return [rids[members] for members in merger.clusters()]
 
-    def _replay_blocked(
-        self,
-        rids: IntArray,
-        bundles: list[tuple[int, IntArray, IntArray, IntArray, IntArray]],
-        counters: WorkCounters | None,
-    ) -> list[IntArray]:
-        """Union worker-computed block edges in serial order.
-
-        ``bundles`` arrives in ascending block order with each edge
-        list in ``np.nonzero`` enumeration order — the exact union
-        sequence of :meth:`_apply_blocked` — so the resulting clusters
-        (content and leaf order) are bit-identical to the serial
-        blocked strategy.
-        """
-        m = int(rids.size)
-        merger = ClusterUnionFind(m)
-        compared = 0
-        for start, intra_i, intra_j, cross_i, cross_j in bundles:
-            stop = min(start + BLOCK, m)
-            compared += (stop - start) * (stop - start - 1) // 2
-            merger.union_edges(intra_i + start, intra_j + start)
-            if start:
-                compared += (stop - start) * start
-                merger.union_edges(cross_i + start, cross_j)
-        if counters is not None:
-            counters.pairs_compared += compared
-        return [rids[members] for members in merger.clusters()]
-
     # ------------------------------------------------------------------
     # blocked strategy, memoized
     # ------------------------------------------------------------------
@@ -401,31 +382,20 @@ class PairwiseComputation:
         Three phases: *plan* every block against the memo (each pair of
         one ``apply`` input occurs in exactly one block cell, so plans
         are independent of this call's own recordings), *evaluate* the
-        unverified jobs (in-process or fanned across the pool — both
-        run :func:`~repro.parallel.worker.evaluate_block_jobs`), then
-        *merge* remembered and fresh match edges per block by cell
-        index, which reproduces the full-matrix ``np.nonzero``
-        enumeration order exactly.
+        unverified jobs with :func:`evaluate_block_jobs`, then *merge*
+        remembered and fresh match edges per block by cell index, which
+        reproduces the full-matrix ``np.nonzero`` enumeration order
+        exactly.
         """
         m = int(rids.size)
         plans = [
             self._plan_block(memo, rids, start, min(start + BLOCK, m))
             for start in range(0, m, BLOCK)
         ]
-        jobs = [self._plan_jobs(plan, rids) for plan in plans]
-        results: (
-            list[tuple[IntArray, IntArray, list[tuple[IntArray, IntArray]]]]
-            | None
-        ) = None
-        if self.pool is not None:
-            results = self.pool.pairwise_job_edges(self.rule, jobs, m, BLOCK)
-        if results is None:
-            results = [
-                parallel_worker.evaluate_block_jobs(
-                    self.store, self.rule, pair_rids, rects
-                )
-                for pair_rids, rects in jobs
-            ]
+        results = [
+            evaluate_block_jobs(self.store, self.rule, *self._plan_jobs(plan, rids))
+            for plan in plans
+        ]
         merger = ClusterUnionFind(m)
         compared = 0
         for plan, (pair_i, pair_j, rect_edges) in zip(plans, results):

@@ -84,12 +84,6 @@ class FilterResult:
 
     # -- typed views over the documented ``info`` keys (docs/API.md) ----
     @property
-    def parallel_stats(self) -> dict[str, Any] | None:
-        """Execution-pool statistics (``info["parallel"]``), or ``None``
-        when the producing run was serial."""
-        return self.info.get("parallel")
-
-    @property
     def designed_sequence(self) -> list[str] | None:
         """Human-readable per-level designs (``info["designs"]``), or
         ``None`` for methods that do not design a sequence."""

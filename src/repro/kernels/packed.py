@@ -17,8 +17,8 @@ the :class:`PackedField`, which is cached on the store per field
   it, so hashing-only paths never allocate it.  Large vocabularies
   stay in sorted-id form and intersect by vectorized merge.
 
-Packed layouts are derived data: worker processes rebuild (or inherit
-copy-on-write) the store and re-pack deterministically, so nothing here
+Packed layouts are derived data: shard worker processes rebuild (or
+inherit copy-on-write) the store and re-pack deterministically, so nothing here
 is ever pickled or snapshotted.
 """
 

@@ -22,7 +22,6 @@ from ..types import AnyArray, ArrayLike, FloatArray, IntArray
 
 if TYPE_CHECKING:
     from ..obs.observer import RunObserver
-    from ..parallel.pool import ExecutionPool
 
 
 class HashFamily(abc.ABC):
@@ -52,27 +51,6 @@ class HashFamily(abc.ABC):
         """``p(x)`` for this family; both paper families are ``1 - x``."""
         arr = np.asarray(x, dtype=np.float64)
         return np.clip(1.0 - arr, 0.0, 1.0)
-
-    def parallel_payload(self, count: int) -> dict[str, Any] | None:
-        """Picklable description of this family's first ``count`` hash
-        functions, for dispatching ``compute`` to worker processes.
-
-        Parameters are drawn *here in the parent* (never in workers) so
-        the R1 randomness funnel and columnar determinism are
-        unaffected by chunking.  The default ``None`` marks a family as
-        serial-only — its signature batches are computed in-process.
-        """
-        return None
-
-    def adopt_params(self, params: dict[str, Any]) -> None:
-        """Adopt parent-drawn parameters inside a worker process.
-
-        Only families that return a :meth:`parallel_payload` need to
-        implement this; ``params`` is that payload's ``"params"`` dict.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} is serial-only (no parallel payload)"
-        )
 
     def export_state(self) -> dict[str, Any]:
         """Serializable family state: drawn parameters plus RNG lineage.
@@ -193,11 +171,6 @@ class SignaturePool:
         #: and enabled, :meth:`ensure` times hash computation and feeds
         #: per-pool counters/histograms into its metrics registry.
         self.observer: RunObserver | None = None
-        #: Optional :class:`~repro.parallel.pool.ExecutionPool`; when
-        #: set, :meth:`ensure` offers each per-level batch to it and
-        #: falls back to in-process compute when the pool declines
-        #: (serial pool, batch below threshold, serial-only family).
-        self.executor: ExecutionPool | None = None
 
     def __len__(self) -> int:
         return int(self._filled.shape[0])
@@ -267,13 +240,7 @@ class SignaturePool:
         levels = np.unique(self._filled[pending])
         for level in levels:
             batch = pending[self._filled[pending] == level]
-            values = None
-            if self.executor is not None:
-                values = self.executor.compute_signatures(
-                    self.family, batch, int(level), count
-                )
-            if values is None:
-                values = self.family.compute(batch, int(level), count)
+            values = self.family.compute(batch, int(level), count)
             self._write(batch, int(level), count, values)
             self._filled[batch] = count
             self.hashes_computed += int(batch.size) * (count - int(level))

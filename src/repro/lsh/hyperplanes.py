@@ -51,20 +51,6 @@ class RandomHyperplaneFamily(HashFamily):
         projections = vectors @ self._planes[:, start:stop]
         return (projections >= 0.0).astype(np.uint8)
 
-    def parallel_payload(self, count: int) -> dict[str, Any] | None:
-        self._ensure_planes(count)
-        return {
-            "kind": "hyperplane",
-            "field": self.field,
-            "options": {},
-            "params": {"planes": np.ascontiguousarray(self._planes[:, :count])},
-        }
-
-    def adopt_params(self, params: dict[str, Any]) -> None:
-        planes = params["planes"]
-        if planes.shape[1] > self._planes.shape[1]:
-            self._planes = planes
-
     def export_state(self) -> dict[str, Any]:
         return {
             "kind": "hyperplane",

@@ -86,20 +86,6 @@ class MinHashFamily(HashFamily):
             self.bits,
         )
 
-    def parallel_payload(self, count: int) -> dict[str, Any] | None:
-        self._ensure_params(count)
-        return {
-            "kind": "minhash",
-            "field": self.field,
-            "options": {"bits": self.bits},
-            "params": {"a": self._a[:count].copy()},
-        }
-
-    def adopt_params(self, params: dict[str, Any]) -> None:
-        a = params["a"]
-        if a.size > self._a.size:
-            self._a = a
-
     def export_state(self) -> dict[str, Any]:
         return {
             "kind": "minhash",

@@ -70,26 +70,6 @@ class PStableFamily(HashFamily):
         ).astype(np.int64)
         return (buckets & 0xFFFFFFFF).astype(np.uint32)
 
-    def parallel_payload(self, count: int) -> dict[str, Any] | None:
-        self._ensure_params(count)
-        return {
-            "kind": "pstable",
-            "field": self.field,
-            "options": {"bucket_width": self.bucket_width},
-            "params": {
-                "directions": np.ascontiguousarray(
-                    self._directions[:, :count]
-                ),
-                "offsets": self._offsets[:count].copy(),
-            },
-        }
-
-    def adopt_params(self, params: dict[str, Any]) -> None:
-        directions = params["directions"]
-        if directions.shape[1] > self._directions.shape[1]:
-            self._directions = directions
-            self._offsets = params["offsets"]
-
     def export_state(self) -> dict[str, Any]:
         return {
             "kind": "pstable",

@@ -50,17 +50,6 @@ class RoundEvent:
     predicted_cost: float = 0.0
     jump: bool = False
 
-    def legacy_dict(self) -> dict[str, Any]:
-        """The pre-observability ``AdaptiveLSH.trace`` entry schema."""
-        return {
-            "round": self.round,
-            "action": self.action,
-            "size": self.size,
-            "from_level": self.from_level,
-            "subclusters": self.subclusters,
-            "largest_out": self.largest_out,
-        }
-
 
 def cost_residuals(rounds: Iterable[RoundEvent]) -> dict[str, Any]:
     """Aggregate prediction-vs-actual per action kind (hash / pairwise).

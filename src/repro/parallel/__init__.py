@@ -1,36 +1,19 @@
-"""Parallel execution layer: a persistent worker pool for the hot paths.
+"""What the shard service's worker processes share with the parent.
 
-The package provides one public object, :class:`ExecutionPool` — a
-process pool bound to one :class:`~repro.records.RecordStore` that
-parallelizes
-
-* per-batch signature computation (fanned out through
-  :meth:`~repro.lsh.families.SignaturePool.ensure`), and
-* the blocked strategy of the pairwise function ``P`` (row-blocks
-  fanned across workers).
-
-Work partitioning is deterministic (chunk boundaries depend only on
-input size and ``n_jobs``) and results are merged in submission order,
-so a parallel run produces bit-identical output to a serial run with
-the same seed.  Small inputs never cross the process boundary: the pool
-falls back to in-process execution below configurable thresholds, and
-the underlying :class:`concurrent.futures.ProcessPoolExecutor` is only
-started on the first dispatch that actually crosses them.
-
-See ``docs/PERFORMANCE.md`` for the full execution model, the
-``n_jobs`` semantics (including the ``REPRO_N_JOBS`` environment
-default), and the determinism guarantees.
+One query always runs in one process; the serve layer's shards are the
+only parallelism.  This package holds the two pieces the shard workers
+need: deterministic work partitioning (:func:`chunk_spans`, which also
+cuts shard boundaries) and the transfer shapes of a record store
+(:class:`StorePayload` and the disk-backed reference in
+:mod:`repro.parallel.sharing`).
 """
 
 from .partition import chunk_spans
-from .pool import ExecutionPool, resolve_n_jobs
 from .sharing import StorePayload, payload_from_store, store_from_payload
 
 __all__ = [
-    "ExecutionPool",
     "StorePayload",
     "chunk_spans",
     "payload_from_store",
-    "resolve_n_jobs",
     "store_from_payload",
 ]

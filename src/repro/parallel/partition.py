@@ -2,8 +2,7 @@
 
 Chunk boundaries are a pure function of ``(n_items, n_chunks,
 min_chunk)`` — never of timing, worker availability, or queue state —
-so the same input always produces the same task list, and merging task
-results in submission order reproduces the serial result exactly.
+so the same input always produces the same shard layout.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
-"""Sharing a :class:`~repro.records.RecordStore` with worker processes.
+"""Sharing a :class:`~repro.records.RecordStore` with shard workers.
 
 On platforms whose multiprocessing start method is ``fork`` (Linux —
-the production target), workers inherit the parent's address space, so
-the store's arrays are shared copy-on-write: registering the store in a
-module-global table before the pool forks gives every worker a
-zero-copy view.  :mod:`repro.parallel.worker` holds that table.
+the production target), a shard worker inherits the parent's address
+space, so the store's arrays are shared copy-on-write and nothing is
+serialized (:func:`fork_available` says which case applies).
 
-On spawn/forkserver platforms nothing is inherited, so the pool ships a
-:class:`StorePayload` — the store flattened to plain picklable arrays —
-through the worker initializer instead, and the worker rebuilds the
-store once via the trusted no-copy constructor.
+On spawn/forkserver platforms nothing is inherited, so the service
+ships a :class:`StorePayload` — the store flattened to plain picklable
+arrays — to the worker instead, and the worker rebuilds the store once
+via the trusted no-copy constructor.
 
 Stores backed by an on-disk columnar layout (:mod:`repro.storage`) have
 a third, cheaper option on *every* start method: a :class:`DiskStoreRef`
@@ -20,6 +19,7 @@ parent and workers share the same page-cache pages.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,11 @@ import numpy as np
 from ..errors import SnapshotError
 from ..records import RecordStore, Schema, ShingleColumn
 from ..types import FloatArray, IntArray
+
+
+def fork_available() -> bool:
+    """True when the ``fork`` start method exists on this platform."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass

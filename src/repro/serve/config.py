@@ -62,9 +62,6 @@ class ServiceConfig:
     seed:
         Base seed; shard ``i`` of generation ``g`` derives its session
         seed deterministically from ``(seed, g, i)``.
-    worker_n_jobs:
-        ``n_jobs`` for the session inside each shard worker (default 1:
-        shard-level parallelism already uses one process per shard).
     spool_dir:
         When set, a service given a purely in-memory store writes it to
         an on-disk columnar layout (:mod:`repro.storage`) under this
@@ -77,7 +74,7 @@ class ServiceConfig:
         spooling.  ``None`` (default) keeps the in-memory path.
     adaptive:
         The :class:`AdaptiveConfig` shard sessions are built from
-        (``seed``/``n_jobs`` fields are overridden per shard).  Must
+        (the ``seed`` field is overridden per shard).  Must
         use the ``analytic`` cost model.
     """
 
@@ -91,7 +88,6 @@ class ServiceConfig:
     rollover_records: int = 256
     warm_k: int = 0
     seed: int = 0
-    worker_n_jobs: int = 1
     spool_dir: "str | None" = None
     adaptive: AdaptiveConfig = field(
         default_factory=lambda: AdaptiveConfig(cost_model="analytic")
@@ -138,7 +134,6 @@ class ServiceConfig:
         object.__setattr__(self, "rollover_records", int(self.rollover_records))
         object.__setattr__(self, "warm_k", int(self.warm_k))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "worker_n_jobs", int(self.worker_n_jobs))
         object.__setattr__(self, "batch_window_ms", float(self.batch_window_ms))
         if self.spool_dir is not None:
             object.__setattr__(self, "spool_dir", str(self.spool_dir))
@@ -156,9 +151,7 @@ class ServiceConfig:
     def shard_adaptive(self, generation: int, shard_index: int) -> AdaptiveConfig:
         """The :class:`AdaptiveConfig` for one shard session."""
         return config_with(
-            self.adaptive,
-            seed=self.shard_seed(generation, shard_index),
-            n_jobs=self.worker_n_jobs,
+            self.adaptive, seed=self.shard_seed(generation, shard_index)
         )
 
     def to_dict(self) -> dict[str, Any]:

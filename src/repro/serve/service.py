@@ -58,10 +58,10 @@ from ..errors import ConfigurationError, ReproError, SchemaError, ServiceError
 from ..io import rule_from_spec, rule_to_spec
 from ..obs import RunObserver
 from ..obs.report import RunReport
-from ..parallel.pool import fork_available
 from ..parallel.sharing import (
     DiskStoreRef,
     StorePayload,
+    fork_available,
     payload_from_store,
     ref_from_store,
     resolve_store_arg,
@@ -138,7 +138,6 @@ def _build_shard_server(
     rule_spec: dict[str, Any],
     adaptive_portable: dict[str, Any],
     seed: int,
-    n_jobs: int,
     offset: int,
     warm_k: int,
 ) -> _ShardServer:
@@ -153,7 +152,7 @@ def _build_shard_server(
     """
     store = resolve_store_arg(store)
     adaptive = AdaptiveConfig.from_dict(
-        adaptive_portable, cost_model="analytic", seed=seed, n_jobs=n_jobs
+        adaptive_portable, cost_model="analytic", seed=seed
     )
     return _ShardServer(
         store, rule_from_spec(rule_spec), adaptive, offset, warm_k
@@ -166,7 +165,6 @@ def _shard_process_main(
     rule_spec: dict[str, Any],
     adaptive_portable: dict[str, Any],
     seed: int,
-    n_jobs: int,
     offset: int,
     warm_k: int,
 ) -> None:
@@ -175,7 +173,7 @@ def _shard_process_main(
     the parent can re-raise without killing the worker."""
     try:
         server = _build_shard_server(
-            store, rule_spec, adaptive_portable, seed, n_jobs, offset, warm_k
+            store, rule_spec, adaptive_portable, seed, offset, warm_k
         )
     except BaseException:
         conn.send(("fatal", traceback.format_exc()))
@@ -224,8 +222,7 @@ class _ProcessBackend:
 
     Fork platforms pass the shard store by inheritance (copy-on-write,
     no serialization); spawn platforms ship a
-    :class:`~repro.parallel.sharing.StorePayload` — the same lifecycle
-    split as :class:`~repro.parallel.pool.ExecutionPool` workers.
+    :class:`~repro.parallel.sharing.StorePayload`.
     """
 
     def __init__(self, builder_args: tuple[Any, ...]) -> None:
@@ -556,7 +553,6 @@ class ResolverService:
                 rule_to_spec(self.rule),
                 self.config.adaptive.to_dict(),
                 self.config.shard_seed(generation, i),
-                self.config.worker_n_jobs,
                 lo,
                 self.config.warm_k,
             )

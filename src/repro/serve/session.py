@@ -4,10 +4,9 @@
 one-shot :func:`~repro.core.adaptive.adaptive_filter`: it owns a
 :class:`~repro.records.RecordStore` plus one prepared (cold) or
 restored (warm) :class:`~repro.core.adaptive.AdaptiveLSH`, and answers
-repeated ``top_k`` queries against them.  Signature pools, the bin index,
-and the worker :class:`~repro.parallel.pool.ExecutionPool` all live for
-the session, so every query after the first pays only its marginal
-hashing.
+repeated ``top_k`` queries against them.  Signature pools, the bin
+index and the pair-verdict memo live for the session, so every query
+after the first pays only its marginal hashing.
 
 Queries are memoized in a small LRU keyed by ``(k, store_version)``;
 ``insert_records``/``extend_store`` bump ``store_version`` (invalidating
@@ -99,7 +98,6 @@ class ResolverSession:
         cls,
         snapshot: IndexSnapshot | Any,
         store: RecordStore,
-        n_jobs: int | None = None,
         observer: RunObserver | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> ResolverSession:
@@ -111,7 +109,7 @@ class ResolverSession:
         """
         if not isinstance(snapshot, IndexSnapshot):
             snapshot = IndexSnapshot.load(snapshot)
-        method = snapshot.restore(store, n_jobs=n_jobs, observer=observer)
+        method = snapshot.restore(store, observer=observer)
         return cls(store, method=method, cache_size=cache_size)
 
     @classmethod
@@ -263,12 +261,9 @@ class ResolverSession:
         carry = self._stream.carry_state() if self._stream is not None else None
         extended = self._store.concat(new_records)
         observer = self._method.obs if self._method.obs is not DISABLED else None
-        n_jobs = self._method.n_jobs
         pair_memo = self._method.pair_memo
         self._method.close()
-        self._method = snapshot.restore(
-            extended, n_jobs=n_jobs, observer=observer, strict=False
-        )
+        self._method = snapshot.restore(extended, observer=observer, strict=False)
         # Carry remembered pair verdicts across the re-seat: the old
         # store is a byte-identical prefix of the extension, so the
         # memo's re-bind keeps every verdict and later refines skip
@@ -293,7 +288,8 @@ class ResolverSession:
         return snap
 
     def close(self) -> None:
-        """Shut down the method's worker pool (no-op when serial)."""
+        """Release the method's resources (none today; kept as the
+        lifecycle API)."""
         self._method.close()
 
     def __enter__(self) -> ResolverSession:

@@ -1,9 +1,9 @@
 """Record-range sharding and the deterministic cross-shard top-k merge.
 
 A service generation partitions its store into contiguous record
-ranges (one :class:`~repro.serve.ResolverSession` per range) with the
-same deterministic partitioner the parallel layer uses for signature
-batches (:func:`repro.parallel.partition.chunk_spans`), so a given
+ranges (one :class:`~repro.serve.ResolverSession` per range) with a
+deterministic partitioner
+(:func:`repro.parallel.partition.chunk_spans`), so a given
 ``(n_records, n_shards)`` always produces the same shard layout.
 
 Every helper here is a pure function of its inputs.  That is the

@@ -189,7 +189,6 @@ class IndexSnapshot:
     def restore(
         self,
         store: RecordStore,
-        n_jobs: int | None = None,
         observer: RunObserver | None = None,
         strict: bool = True,
     ) -> AdaptiveLSH:
@@ -200,10 +199,6 @@ class IndexSnapshot:
         store *extended* past the captured records (same prefix):
         restored pool columns cover the prefix and new records hash
         lazily — the snapshot-then-extend serving path.
-
-        ``n_jobs`` overrides the worker count; it is an execution
-        detail (results are bit-identical either way) and is therefore
-        never captured in the snapshot itself.
         """
         header = self.header
         schema_spec = [
@@ -233,7 +228,6 @@ class IndexSnapshot:
         config = AdaptiveConfig.from_dict(
             header["config"],
             cost_model=cost_model,
-            n_jobs=n_jobs,
         )
         method = AdaptiveLSH(store, rule, config=config, observer=observer)
         # Rebuilding the context draws nothing: families are constructed

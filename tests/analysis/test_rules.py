@@ -290,7 +290,7 @@ class TestR6InfoKeySchema:
                 "serve/good.py": """
                 def stamp(result, stats):
                     result.info["serving"] = stats
-                    info = {"method": "adaLSH", "parallel": stats}
+                    info = {"method": "adaLSH", "bin_index": stats}
                     return info
                 """
             },

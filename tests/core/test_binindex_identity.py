@@ -49,20 +49,17 @@ def _reference_then_production(monkeypatch, run):
     return reference, run()
 
 
-def _run(dataset, n_jobs=None, k=3):
-    config = AdaptiveConfig(seed=7, cost_model="analytic", n_jobs=n_jobs)
+def _run(dataset, k=3):
+    config = AdaptiveConfig(seed=7, cost_model="analytic")
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
         result = method.run(k)
     return result
 
 
 @pytest.mark.parametrize("generate", [generate_cora, generate_spotsigs])
-@pytest.mark.parametrize("n_jobs", [None, 2])
-def test_bin_index_on_off_identical(generate, n_jobs, monkeypatch):
+def test_bin_index_on_off_identical(generate, monkeypatch):
     dataset = generate(n_records=300, seed=1)
-    off, on = _reference_then_production(
-        monkeypatch, lambda: _run(dataset, n_jobs=n_jobs)
-    )
+    off, on = _reference_then_production(monkeypatch, lambda: _run(dataset))
     assert _clusters(off) == _clusters(on)
     assert off.counters.pairs_compared == on.counters.pairs_compared
     assert off.counters.hashes_computed == on.counters.hashes_computed

@@ -55,9 +55,18 @@ class TestSerialization:
         )
 
     def test_to_dict_excludes_non_portable_fields(self):
-        data = AdaptiveConfig(seed=7, n_jobs=4).to_dict()
+        data = AdaptiveConfig(seed=7, n_jobs=1).to_dict()
         assert "seed" not in data
         assert "n_jobs" not in data
+
+    @pytest.mark.parametrize("n_jobs", [None, 1])
+    def test_n_jobs_accepts_only_serial(self, n_jobs):
+        assert AdaptiveConfig(n_jobs=n_jobs).n_jobs == n_jobs
+
+    @pytest.mark.parametrize("n_jobs", [2, 0, -1])
+    def test_n_jobs_other_than_serial_points_to_shards(self, n_jobs):
+        with pytest.raises(ConfigurationError, match="shard"):
+            AdaptiveConfig(n_jobs=n_jobs)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown"):

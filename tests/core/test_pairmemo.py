@@ -154,6 +154,8 @@ class TestLookupRecord:
     def test_budget_below_initial_table_records_nothing(self, max_bytes):
         memo = PairVerdictMemo(max_bytes=max_bytes)
         assert memo.frozen
+        # No table at all: nothing allocated, nothing to probe.
+        assert memo.stats()["bytes"] == 0
         keys = pack_pair_keys(
             np.arange(10, dtype=np.int64), np.arange(10, 20, dtype=np.int64)
         )
@@ -161,11 +163,15 @@ class TestLookupRecord:
         assert memo.pairs == 0
         assert memo.evictions == 10
         assert np.all(memo.lookup(keys) == UNKNOWN)
-        # Clearing on a re-bind keeps the memo frozen.
+        assert (memo.hits, memo.misses) == (0, 10)
+        # Clearing on a re-bind keeps the memo frozen and tableless.
         memo.bind(_shingle_store(), ThresholdRule(JaccardDistance("shingles"), 0.5))
         memo.bind(_shingle_store(offset=3), ThresholdRule(JaccardDistance("shingles"), 0.5))
         assert memo.invalidations == 1
         assert memo.frozen
+        assert memo.stats()["bytes"] == 0
+        memo.record(keys, np.zeros(10, dtype=bool))
+        assert (memo.pairs, memo.evictions) == (0, 20)
 
     def test_empty_batches_are_noops(self):
         memo = PairVerdictMemo()

@@ -1,7 +1,7 @@
 """Property tests: pair-verdict memoization never changes output.
 Memo-on equals memo-off (no memo, or one detached by
 :func:`detach_memo`) bit-for-bit — cluster content AND leaf order —
-across seeds, strategies, worker counts, snapshot restores, and
+across seeds, strategies, snapshot restores, and
 streaming insert-then-refine; a fully warm memo makes a repeated refine
 free (``pairs_compared == 0``), and a zero-budget memo compares every
 pair a detached one does."""
@@ -17,7 +17,6 @@ from repro.core.pairmemo import PairVerdictMemo
 from repro.core.pairwise_fn import PairwiseComputation
 from repro.datasets import generate_spotsigs
 from repro.distance import CosineDistance, JaccardDistance, ThresholdRule
-from repro.parallel import ExecutionPool
 from repro.serve import ResolverSession
 from tests.conftest import make_shingle_store, make_vector_store
 
@@ -119,46 +118,18 @@ def test_partially_warm_blocked_match_memo_off(seed, monkeypatch):
         _assert_identical(baseline, pc.apply(rids))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_warm_parallel_blocked_match_serial(seed, monkeypatch):
-    """A warm plan ships the same jobs to worker processes as it would
-    evaluate in-process; the replay must equal the serial memo-off pass
-    bit-for-bit."""
-    monkeypatch.setattr(pairwise_fn, "BLOCK", 32)
-    store, rule = _random_case("vector", seed)
-    rids = store.rids
-    baseline = PairwiseComputation(store, rule, strategy="blocked").apply(rids)
-
-    rng = np.random.default_rng(seed + 7)
-    memo = _bound_memo(store, rule)
-    with ExecutionPool(store, n_jobs=2, min_pairwise_rows=2) as pool:
-        pc = PairwiseComputation(store, rule, strategy="blocked", pool=pool, memo=memo)
-        subset = rids[rng.random(rids.size) < 0.5]
-        if subset.size >= 2:
-            pc.apply(subset)
-        _assert_identical(baseline, pc.apply(rids))
-        assert pool.parallel_calls >= 1, "parallel path was not taken"
-
-
 @pytest.mark.parametrize("method_seed", [3, 9])
-def test_adaptive_run_identical_across_memo_and_jobs(
-    method_seed, tiny_spotsigs, monkeypatch
-):
-    """End-to-end: memo {off, on} x n_jobs {1, 2} — four runs, one
-    answer, counter for counter on the cold pass."""
+def test_adaptive_run_identical_across_memo(method_seed, tiny_spotsigs, monkeypatch):
+    """End-to-end: memo off and on — one answer, counter for counter on
+    the cold pass."""
     dataset = tiny_spotsigs
 
-    def run_jobs():
-        runs = []
-        for n_jobs in (1, 2):
-            config = AdaptiveConfig(
-                seed=method_seed, cost_model="analytic", n_jobs=n_jobs
-            )
-            with AdaptiveLSH(dataset.store, dataset.rule, config=config) as m:
-                runs.append(m.run(4))
-        return runs
+    def run():
+        config = AdaptiveConfig(seed=method_seed, cost_model="analytic")
+        with AdaptiveLSH(dataset.store, dataset.rule, config=config) as m:
+            return m.run(4)
 
-    results = [r for runs in _memo_off_then_on(monkeypatch, run_jobs) for r in runs]
+    results = _memo_off_then_on(monkeypatch, run)
     outputs = [_cluster_lists(result) for result in results]
     compared = [int(result.counters.pairs_compared) for result in results]
     assert all(out == outputs[0] for out in outputs[1:])

@@ -1,8 +1,7 @@
 """End-to-end identity: the production kernels and the reference oracle
 (``tests/kernels/reference.py``) give bit-identical signatures,
-distances, verdicts and final clusters — per worker count, across
-snapshot restore, under streaming inserts and across session store
-extensions.
+distances, verdicts and final clusters — across snapshot restore,
+under streaming inserts and across session store extensions.
 
 Each "numpy" side swaps the reference kernels in with
 :func:`use_reference_kernels`; "packed" is the production path.
@@ -24,8 +23,8 @@ def _clusters(result):
     return [tuple(int(r) for r in c.rids) for c in result.clusters]
 
 
-def _run(dataset, n_jobs=None, k=3):
-    config = AdaptiveConfig(seed=7, cost_model="analytic", n_jobs=n_jobs)
+def _run(dataset, k=3):
+    config = AdaptiveConfig(seed=7, cost_model="analytic")
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
         result = method.run(k)
     return result
@@ -85,16 +84,6 @@ def test_fixed_inputs_identical(name, generate, monkeypatch):
     assert np.array_equal(ref[1], fast[1]), "distances differ"
     assert np.array_equal(ref[2], fast[2]), "match verdicts differ"
     assert ref[3] == fast[3], "final clusters differ"
-
-
-@pytest.mark.parametrize("kernels", ["numpy", "packed"])
-def test_parallel_matches_serial_per_backend(kernels, monkeypatch):
-    if kernels == "numpy":
-        use_reference_kernels(monkeypatch)
-    dataset = generate_spotsigs(n_records=300, seed=2)
-    serial = _run(dataset, n_jobs=1)
-    parallel = _run(dataset, n_jobs=2)
-    assert _clusters(serial) == _clusters(parallel)
 
 
 def test_snapshot_restore_honours_kernel_override(monkeypatch):

@@ -31,16 +31,6 @@ class TestObservedRun:
             assert event.predicted_cost >= 0.0
             assert event.jump == (event.action == "P")
 
-    def test_trace_backcompat_view(self, observed_run):
-        """AdaptiveLSH.trace still returns the legacy dict schema."""
-        method, result, obs = observed_run
-        assert len(method.trace) == result.counters.rounds
-        for entry in method.trace:
-            assert set(entry) == {
-                "round", "action", "size", "from_level",
-                "subclusters", "largest_out",
-            }
-
     def test_last_report_built(self, observed_run):
         method, result, _ = observed_run
         report = method.last_report
@@ -97,7 +87,7 @@ class TestTraceViaObserver:
         )
         result = method.run(2)
         assert method.obs is not DISABLED
-        assert len(method.trace) == result.counters.rounds
+        assert len(method.obs.rounds) == result.counters.rounds
         assert method.last_report is not None
 
 
@@ -108,7 +98,7 @@ class TestDisabledMode:
         method = AdaptiveLSH(store, rule, config=AdaptiveConfig(seed=1, cost_model="analytic"))
         method.run(2)
         assert method.obs is DISABLED
-        assert method.trace == []
+        assert method.obs.rounds == []
         assert method.last_report is None
         assert DISABLED.rounds == []
         assert DISABLED.tracer.roots == []

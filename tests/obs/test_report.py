@@ -111,15 +111,3 @@ class TestTable:
         table = report.to_table(max_rounds=1)
         assert "2 more rounds" in table
 
-
-class TestLegacyDict:
-    def test_legacy_schema(self):
-        event = make_events()[0]
-        assert event.legacy_dict() == {
-            "round": 1,
-            "action": "H2",
-            "size": 100,
-            "from_level": 1,
-            "subclusters": 5,
-            "largest_out": 40,
-        }

@@ -1,49 +1,9 @@
-"""Tests for the execution pool: n_jobs resolution, store transfer,
-and bit-identical parallel signature computation."""
-
-import os
+"""Tests for the store transfer shapes shard workers receive."""
 
 import numpy as np
-import pytest
 
-from repro.distance import CosineDistance, EuclideanDistance, JaccardDistance
-from repro.errors import ConfigurationError
-from repro.parallel import (
-    ExecutionPool,
-    payload_from_store,
-    resolve_n_jobs,
-    store_from_payload,
-)
-from repro.parallel.pool import N_JOBS_ENV
+from repro.parallel import payload_from_store, store_from_payload
 from tests.conftest import make_shingle_store, make_vector_store
-
-
-class TestResolveNJobs:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(N_JOBS_ENV, raising=False)
-        assert resolve_n_jobs(None) == 1
-
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(N_JOBS_ENV, "8")
-        assert resolve_n_jobs(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(N_JOBS_ENV, "4")
-        assert resolve_n_jobs(None) == 4
-
-    def test_negative_counts_from_cpu_pool(self):
-        cpus = os.cpu_count() or 1
-        assert resolve_n_jobs(-1) == cpus
-        assert resolve_n_jobs(-cpus) == 1
-
-    def test_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_n_jobs(0)
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(N_JOBS_ENV, "lots")
-        with pytest.raises(ConfigurationError):
-            resolve_n_jobs(None)
 
 
 class TestStorePayload:
@@ -60,71 +20,3 @@ class TestStorePayload:
             store.shingle_sets("shingles"), rebuilt.shingle_sets("shingles")
         ):
             assert np.array_equal(a, b)
-
-
-def _forced_pool(store):
-    """A 2-worker pool with every size threshold disabled."""
-    return ExecutionPool(
-        store,
-        n_jobs=2,
-        min_signature_work=0,
-        min_signature_rows=1,
-        min_pairwise_rows=2,
-    )
-
-
-def _family_cases():
-    vec_store, _ = make_vector_store(
-        cluster_sizes=(10, 8), n_noise=20, seed=5
-    )
-    shingle_store, _ = make_shingle_store(
-        cluster_sizes=(8, 6), n_noise=15, seed=6
-    )
-    return [
-        ("minhash", shingle_store, JaccardDistance("shingles")),
-        ("minhash-4bit", shingle_store, JaccardDistance("shingles", minhash_bits=4)),
-        ("hyperplane", vec_store, CosineDistance("vec")),
-        ("pstable", vec_store, EuclideanDistance("vec")),
-    ]
-
-
-class TestSignatureParity:
-    @pytest.mark.parametrize(
-        "name,store,distance",
-        _family_cases(),
-        ids=[case[0] for case in _family_cases()],
-    )
-    def test_parallel_matches_serial_bit_for_bit(self, name, store, distance):
-        serial_family = distance.make_family(store, seed=9)
-        parallel_family = distance.make_family(store, seed=9)
-        rids = store.rids
-        expected = serial_family.compute(rids, 0, 48)
-        with _forced_pool(store) as pool:
-            pool.register_family(parallel_family)
-            got = pool.compute_signatures(parallel_family, rids, 0, 48)
-            assert got is not None
-            assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected)
-            # Incremental extension reuses the same parameter draws.
-            extended = pool.compute_signatures(parallel_family, rids, 48, 80)
-            assert extended is not None
-            assert np.array_equal(
-                extended, serial_family.compute(rids, 48, 80)
-            )
-            assert pool.parallel_calls == 2
-            assert pool.tasks_dispatched >= 4
-
-    def test_serial_pool_returns_none(self):
-        store, _ = make_vector_store(cluster_sizes=(4,), n_noise=4, seed=0)
-        family = CosineDistance("vec").make_family(store, seed=1)
-        pool = ExecutionPool(store, n_jobs=1)
-        assert pool.compute_signatures(family, store.rids, 0, 16) is None
-        assert pool.stats()["serial_calls"] == 1
-
-    def test_below_threshold_returns_none(self):
-        store, _ = make_vector_store(cluster_sizes=(4,), n_noise=4, seed=0)
-        family = CosineDistance("vec").make_family(store, seed=1)
-        with ExecutionPool(store, n_jobs=2) as pool:
-            assert pool.compute_signatures(family, store.rids, 0, 16) is None
-            assert pool.stats()["serial_calls"] == 1
-            assert pool.stats()["parallel_calls"] == 0

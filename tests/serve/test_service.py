@@ -74,11 +74,10 @@ class TestServiceConfig:
         seeds = {cfg.shard_seed(g, i) for g in range(3) for i in range(4)}
         assert len(seeds) == 12
 
-    def test_shard_adaptive_overrides_seed_and_jobs(self):
-        cfg = _config(seed=3, worker_n_jobs=1)
+    def test_shard_adaptive_overrides_seed(self):
+        cfg = _config(seed=3)
         shard = cfg.shard_adaptive(2, 1)
         assert shard.seed == cfg.shard_seed(2, 1)
-        assert shard.n_jobs == 1
         assert shard.cost_model == "analytic"
 
 

@@ -51,14 +51,14 @@ def _result_key(result):
     )
 
 
-def _cold_and_warm(dataset, tmp_path, k, seed, n_jobs=None):
+def _cold_and_warm(dataset, tmp_path, k, seed):
     config = AdaptiveConfig(seed=seed, cost_model="analytic")
     cold = AdaptiveLSH(dataset.store, dataset.rule, config=config)
     cold_result = cold.run(k)
     path = tmp_path / "index.npz"
     IndexSnapshot.capture(cold).save(path)
     cold.close()
-    warm = IndexSnapshot.load(path).restore(dataset.store, n_jobs=n_jobs)
+    warm = IndexSnapshot.load(path).restore(dataset.store)
     try:
         warm_result = warm.run(k)
     finally:
@@ -101,14 +101,6 @@ class TestRoundTrip:
         dataset = _generate("querylog", seed=seed)
         cold, warm, _ = _cold_and_warm(dataset, tmp_path, k=3, seed=seed)
         assert _result_key(warm) == _result_key(cold)
-
-    def test_bit_identical_with_workers(self, tmp_path):
-        dataset = _generate("spotsigs", seed=5)
-        cold, warm, method = _cold_and_warm(
-            dataset, tmp_path, k=4, seed=5, n_jobs=2
-        )
-        assert _result_key(warm) == _result_key(cold)
-        assert method.n_jobs == 2
 
     def test_warm_skips_all_captured_hashing(self, tmp_path):
         """A snapshot captured after a run carries that run's columns;
