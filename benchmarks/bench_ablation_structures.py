@@ -1,15 +1,16 @@
 """Ablation: the Appendix-B data structures.
 
-Benchmarks the parent-pointer forest against the plain array union-find
-on the same random merge workload, and the bin index against sort-based
-largest-first selection — the operations Algorithm 1's inner loop is
-made of.
+Benchmarks the parent-pointer forest (kept in ``tests/`` as an oracle)
+and the plain array union-find against the vectorised components kernel
+the program uses, on the same random merge workload, and the bin index
+against sort-based largest-first selection — the operations Algorithm
+1's inner loop is made of.
 """
 
 import numpy as np
-import pytest
 
-from repro.structures import BinIndex, ParentPointerForest, UnionFind
+from repro.structures import BinIndex, UnionFind, components
+from tests.structures.parent_pointer_tree import ParentPointerForest
 
 N = 20_000
 RNG = np.random.default_rng(7)
@@ -41,6 +42,16 @@ def test_union_find_merge(benchmark):
     assert comps >= 1
 
 
+def test_components_kernel_merge(benchmark):
+    rids = np.arange(N, dtype=np.int64)
+
+    def run():
+        return len(components(rids, EDGES[:, 0], EDGES[:, 1]))
+
+    comps = benchmark(run)
+    assert comps >= 1
+
+
 def test_structures_agree(benchmark):
     def run():
         forest = ParentPointerForest()
@@ -50,10 +61,15 @@ def test_structures_agree(benchmark):
         for a, b in EDGES[:2000]:
             forest.union_records(int(a), int(b))
             uf.union(int(a), int(b))
-        return len(forest.roots()), len(uf.components())
+        kernel = components(
+            np.arange(N, dtype=np.int64), EDGES[:2000, 0], EDGES[:2000, 1]
+        )
+        return len(forest.roots()), len(uf.components()), len(kernel)
 
-    forest_roots, uf_comps = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert forest_roots == uf_comps
+    forest_roots, uf_comps, kernel_comps = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    assert forest_roots == uf_comps == kernel_comps
 
 
 def test_bin_index_pop_largest(benchmark):

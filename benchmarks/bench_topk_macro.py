@@ -50,7 +50,7 @@ HISTORY_LIMIT = 20
 def _images(records: int, seed: int):
     """PopularImages-like records (cosine rule), entity sizes scaled
     from the 10k default as in ``benchmarks/conftest.py``.  Its ``P``
-    work is mostly rowwise clusters of up to ``ROWWISE_LIMIT`` records."""
+    work is mostly clusters of a dozen records or fewer."""
     ratio = records / 10_000
     return generate_popular_images(
         n_records=records,

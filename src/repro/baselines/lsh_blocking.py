@@ -8,7 +8,7 @@ paper, the comparison against adaLSH uses three optimizations:
 
 1. early termination — stop verifying once ``k`` verified clusters are
    larger than every cluster not yet verified;
-2. transitive-closure skipping inside ``P`` (shared
+2. the same vectorised ``P`` as adaLSH (shared
    :class:`~repro.core.pairwise_fn.PairwiseComputation` implementation);
 3. the same data structures as adaLSH (fingerprint bin index, size bins).
 
@@ -52,7 +52,6 @@ class LSHBlocking:
         verify: bool = True,
         epsilon: float = DEFAULT_EPSILON,
         seed=None,
-        pairwise_strategy: str = "auto",
     ):
         if n_hashes < 1:
             raise ConfigurationError(f"n_hashes must be >= 1, got {n_hashes}")
@@ -62,7 +61,7 @@ class LSHBlocking:
         self.verify = verify
         self.epsilon = epsilon
         self._rng = make_rng(seed)
-        self._pairwise = PairwiseComputation(store, rule, strategy=pairwise_strategy)
+        self._pairwise = PairwiseComputation(store, rule)
         self._prepared = False
 
     @property
@@ -100,7 +99,7 @@ class LSHBlocking:
         if self.verify:
             finals = self._verify(candidates, k, counters)
         else:
-            finals = sorted(candidates, key=lambda c: c.size, reverse=True)[:k]
+            finals = sorted(candidates, key=lambda c: c.rank_key)[:k]
         wall = time.perf_counter() - started
         counters.merge_pool_counts(self._pools)
         counters.hashes_computed -= baseline_hashes
@@ -134,5 +133,5 @@ class LSHBlocking:
             counters.rounds += 1
             for part in self._pairwise.apply(cluster.rids, counters):
                 verified.append(Cluster(part, SOURCE_PAIRWISE))
-        verified.sort(key=lambda c: c.size, reverse=True)
+        verified.sort(key=lambda c: c.rank_key)
         return verified[:k]

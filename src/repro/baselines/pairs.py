@@ -1,7 +1,6 @@
 """The Pairs baseline (paper §6.1.1): the pairwise computation function
-``P`` applied to the whole dataset, with the transitive-closure
-skipping optimization, followed by picking the ``k`` largest connected
-components."""
+``P`` applied to the whole dataset, followed by picking the ``k``
+largest connected components."""
 
 from __future__ import annotations
 
@@ -19,15 +18,10 @@ class PairsBaseline:
 
     name = "Pairs"
 
-    def __init__(
-        self,
-        store: RecordStore,
-        rule: MatchRule,
-        pairwise_strategy: str = "auto",
-    ):
+    def __init__(self, store: RecordStore, rule: MatchRule):
         self.store = store
         self.rule = rule
-        self._pairwise = PairwiseComputation(store, rule, strategy=pairwise_strategy)
+        self._pairwise = PairwiseComputation(store, rule)
 
     def run(self, k: int) -> FilterResult:
         """Compute all components and return the ``k`` largest."""
@@ -38,7 +32,7 @@ class PairsBaseline:
         parts = self._pairwise.apply(self.store.rids, counters)
         wall = time.perf_counter() - started
         clusters = [Cluster(part, SOURCE_PAIRWISE) for part in parts]
-        clusters.sort(key=lambda c: c.size, reverse=True)
+        clusters.sort(key=lambda c: c.rank_key)
         info: dict[str, object] = {
             "method": self.name,
             "components": len(clusters),

@@ -121,12 +121,7 @@ class AdaptiveLSH:
         #: Cross-round pair-verdict memo shared by the pairwise function
         #: and the lookahead density sampler.
         self._pair_memo = PairVerdictMemo(max_bytes=cfg.pair_memo_bytes)
-        self._pairwise = PairwiseComputation(
-            store,
-            rule,
-            strategy=cfg.pairwise_strategy,
-            memo=self._pair_memo,
-        )
+        self._pairwise = PairwiseComputation(store, rule, memo=self._pair_memo)
         #: Persistent fingerprint bin index: every level's grouping and
         #: the streaming delta candidates.
         self._bin_index = SchemeBinIndex(len(store))

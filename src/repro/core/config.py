@@ -28,10 +28,18 @@ JUMP_POLICIES = ("line5", "lookahead")
 #: Keys of knobs that no longer exist; :meth:`AdaptiveConfig.from_dict`
 #: drops them.  ``signature_cache`` switched the packed-key cache (which
 #: ``to_dict`` wrote), ``kernels`` selected the kernel backend,
-#: ``pair_memo`` switched the pair-verdict memo, and ``bin_index`` /
-#: ``bin_index_bytes`` switched and sized the fingerprint bin index.
+#: ``pair_memo`` switched the pair-verdict memo, ``bin_index`` /
+#: ``bin_index_bytes`` switched and sized the fingerprint bin index, and
+#: ``pairwise_strategy`` chose between the rowwise and blocked ``P``.
 RETIRED_KEYS = frozenset(
-    {"signature_cache", "kernels", "pair_memo", "bin_index", "bin_index_bytes"}
+    {
+        "signature_cache",
+        "kernels",
+        "pair_memo",
+        "bin_index",
+        "bin_index_bytes",
+        "pairwise_strategy",
+    }
 )
 
 
@@ -50,7 +58,6 @@ class AdaptiveConfig:
     cost_model: CostModel | str = "calibrate"
     noise_factor: float = 1.0
     analytic_pair_cost: float = 20.0
-    pairwise_strategy: str = "auto"
     selection: str = "largest"
     jump_policy: str = "line5"
     lookahead_samples: int = 32
@@ -108,7 +115,6 @@ class AdaptiveConfig:
             "epsilon": self.epsilon,
             "noise_factor": self.noise_factor,
             "analytic_pair_cost": self.analytic_pair_cost,
-            "pairwise_strategy": self.pairwise_strategy,
             "selection": self.selection,
             "jump_policy": self.jump_policy,
             "lookahead_samples": self.lookahead_samples,

@@ -21,6 +21,10 @@ Design:
   budget below the initial table freezes the memo from the start with
   an empty table, so ``max_bytes=0`` remembers nothing and probes
   nothing;
+* a per-record "has a recorded verdict" bit: a pair can be in the
+  table only if both its records appear in pairs the table holds, so
+  :meth:`lookup` probes only those pairs and counts the rest as misses
+  straight away.  On a cold query nothing is probed;
 * correctness rests on verdict determinism: a pair's verdict is a pure
   function of the store contents and the match rule, so the memo is
   fingerprinted by both (:meth:`PairVerdictMemo.bind`) and clears
@@ -119,6 +123,9 @@ class PairVerdictMemo:
         self.max_bytes = int(max_bytes)
         self._keys: IntArray
         self._verdicts: np.ndarray[Any, np.dtype[np.uint8]]
+        #: Per record id: True once the table holds a verdict involving
+        #: it; one trailing False past every id stands for ids beyond.
+        self._seen: BoolArray
         #: True once the byte budget blocked a growth step (or, for a
         #: budget below the initial table, from the start): existing
         #: verdicts keep serving, new pairs degrade to pass-through.
@@ -173,6 +180,7 @@ class PairVerdictMemo:
         self._rule_fp = rule_fp
         self._n_records = len(store)
         self._store_fp = store.content_fingerprint()
+        self._grow_seen(self._n_records)
 
     def _new_table(self) -> None:
         """Start an empty table: the initial capacity when the budget
@@ -182,8 +190,17 @@ class PairVerdictMemo:
         capacity = _INITIAL_CAPACITY if fits else 0
         self._keys = np.full(capacity, _EMPTY, dtype=np.int64)
         self._verdicts = np.zeros(capacity, dtype=np.uint8)
+        self._seen = np.zeros(1, dtype=bool)
         self._pairs = 0
         self.frozen = not fits
+
+    def _grow_seen(self, n: int) -> None:
+        """Extend the per-record bits to ids ``0..n-1`` (new ids unseen)
+        plus the trailing False."""
+        if n >= self._seen.size:
+            seen = np.zeros(n + 1, dtype=bool)
+            seen[: self._seen.size] = self._seen
+            self._seen = seen
 
     def _clear(self) -> None:
         self._new_table()
@@ -235,35 +252,34 @@ class PairVerdictMemo:
                 return slot
             slot = (slot + 1) & mask
 
-    def lookup(
-        self, keys: IntArray, *, count: bool = True
-    ) -> np.ndarray[Any, np.dtype[np.uint8]]:
+    def lookup(self, keys: IntArray) -> np.ndarray[Any, np.dtype[np.uint8]]:
         """Remembered verdicts for packed pair ``keys``.
 
         Returns one code per key: :data:`MATCH`, :data:`NO_MATCH`, or
-        :data:`UNKNOWN` for pairs never recorded.  ``count=False``
-        leaves the hit/miss counters alone, for a caller that reads
-        ahead and reports the verdicts it used through :meth:`tally`.
+        :data:`UNKNOWN` for pairs never recorded; every key counts as a
+        hit or a miss.
         """
         if self.disabled or keys.size == 0:
             return np.zeros(keys.size, dtype=np.uint8)
-        verdicts: np.ndarray[Any, np.dtype[np.uint8]]
-        if self.capacity:
-            slots = self._find_slots(keys)
-            verdicts = np.where(
-                self._keys[slots] == keys, self._verdicts[slots], UNKNOWN
-            )
-        else:
-            verdicts = np.zeros(keys.size, dtype=np.uint8)
-        if count:
-            hits = int(np.count_nonzero(verdicts))
-            self._record_counts(hits, int(keys.size) - hits, 0)
+        verdicts = np.zeros(keys.size, dtype=np.uint8)
+        if self._pairs:
+            # Probe only the pairs whose records both have a verdict;
+            # ids past the bits clip onto the trailing False.
+            seen = self._seen
+            probe = seen.take(keys >> np.int64(32), mode="clip")
+            probe &= seen.take(keys & np.int64(0xFFFFFFFF), mode="clip")
+            if probe.all():
+                verdicts = self._probe(keys)
+            elif probe.any():
+                verdicts[probe] = self._probe(keys[probe])
+        hits = int(np.count_nonzero(verdicts))
+        self._record_counts(hits, int(keys.size) - hits, 0)
         return verdicts
 
-    def tally(self, hits: int, misses: int) -> None:
-        """Count verdicts served and missed by an uncounted lookup."""
-        if not self.disabled:
-            self._record_counts(hits, misses, 0)
+    def _probe(self, keys: IntArray) -> np.ndarray[Any, np.dtype[np.uint8]]:
+        """Table verdicts of ``keys`` (:data:`UNKNOWN` where absent)."""
+        slots = self._find_slots(keys)
+        return np.where(self._keys[slots] == keys, self._verdicts[slots], UNKNOWN)
 
     def record(self, keys: IntArray, matched: BoolArray) -> None:
         """Remember fresh verdicts: ``matched[i]`` for pair ``keys[i]``.
@@ -329,6 +345,11 @@ class PairVerdictMemo:
             last = keys.size - 1 - np.unique(keys[::-1], return_index=True)[1]
             if last.size < keys.size:
                 keys, verdicts = keys[last], verdicts[last]
+        if keys.size:
+            hi = keys & np.int64(0xFFFFFFFF)
+            self._grow_seen(int(hi.max()) + 1)
+            self._seen[keys >> np.int64(32)] = True
+            self._seen[hi] = True
         mask = self.capacity - 1
         idx = _probe_start(keys, mask)
         pending = np.arange(keys.size)

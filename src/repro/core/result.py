@@ -30,6 +30,11 @@ class Cluster:
     def size(self) -> int:
         return int(self.rids.size)
 
+    @property
+    def rank_key(self) -> tuple[int, int]:
+        """Canonical output order: size descending, then smallest rid."""
+        return -int(self.rids.size), int(self.rids.min())
+
     def is_final(self, last_level: int) -> bool:
         """Final clusters are outcomes of ``H_L`` or ``P`` (§4.1)."""
         return self.source == SOURCE_PAIRWISE or self.source == last_level
@@ -41,8 +46,8 @@ class WorkCounters:
 
     ``pairs_charged`` is the conservative cost-model view of pairwise
     work (all pairs of every set handed to ``P``); ``pairs_compared``
-    counts distance evaluations actually performed after the
-    transitive-closure skipping optimization.
+    counts distance evaluations actually performed: the pairs whose
+    verdict the pair memo did not already hold.
     """
 
     hashes_computed: int = 0
@@ -114,8 +119,9 @@ class FilterResult:
         wall_time: float,
         info: dict[str, Any] | None = None,
     ) -> FilterResult:
-        """Build a result from raw rid arrays, ordering by size."""
-        ordered = sorted(clusters, key=lambda c: c.size, reverse=True)
+        """Build a result from raw rid arrays in the canonical order:
+        size descending, ties by smallest rid."""
+        ordered = sorted(clusters, key=lambda c: c.rank_key)
         if ordered:
             union = np.unique(np.concatenate([c.rids for c in ordered]))
         else:

@@ -7,9 +7,9 @@ one cluster per connected component.
 
 The tables are never built one at a time: the level's
 :class:`~repro.lsh.binindex.LevelBins` groups every table at once from
-key fingerprints, and the distinct union edges run through one
-:class:`~repro.structures.union_find.ClusterUnionFind` pass that
-reproduces the parent-pointer forest's merge rule and cluster order.
+key fingerprints, and one :func:`~repro.structures.union_find.components`
+pass turns the collision edges into clusters (members ascending,
+clusters by smallest rid).
 
 Hash *values* are nevertheless reused across invocations and across
 functions in the sequence, because they live in the shared
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..lsh.design import SchemeDesign
 from ..lsh.scheme import HashingScheme
-from ..structures.union_find import ClusterUnionFind
+from ..structures.union_find import components
 from ..types import ArrayLike, IntArray
 from .result import WorkCounters
 
@@ -52,12 +52,10 @@ class TransitiveHashingFunction:
         self, rids: ArrayLike, counters: WorkCounters | None = None
     ) -> list[IntArray]:
         """Split ``rids`` into clusters (connected components of the
-        same-bucket graph across all tables): one union pass over the
-        level's distinct edges."""
+        same-bucket graph across all tables): one components pass over
+        the level's collision edges."""
         rids = np.asarray(rids, dtype=np.int64)
         heads, members = self.bin_index.edges(self.scheme, rids)
-        cuf = ClusterUnionFind(int(rids.size))
-        cuf.union_edges(heads, members)
         if counters is not None:
             counters.table_inserts += int(rids.size) * self.scheme.table_count
-        return [rids[part] for part in cuf.clusters()]
+        return components(rids, heads, members)

@@ -62,10 +62,11 @@ class FieldDistance(abc.ABC):
     ) -> FloatArray:
         """Distances for the pair list ``zip(rids_a, rids_b)``.
 
-        The default evaluates :meth:`distance` per pair; metrics with a
-        vectorized kernel (e.g. Jaccard) override it.  Either way each
-        element equals the scalar :meth:`distance` bit for bit, so rules
-        built on this surface decide exactly as their per-pair forms.
+        The default evaluates :meth:`distance` per pair; the in-repo
+        metrics override it with a vectorized kernel and define
+        :meth:`distance` as its one-pair case.  Either way each element
+        equals the scalar :meth:`distance` bit for bit, so rules built
+        on this surface decide exactly as their per-pair forms.
         """
         rids_a = np.asarray(rids_a, dtype=np.int64)
         rids_b = np.asarray(rids_b, dtype=np.int64)

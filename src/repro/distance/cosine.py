@@ -53,10 +53,16 @@ class CosineDistance(FieldDistance):
         return mat / norms
 
     def distance(self, store: RecordStore, r1: int, r2: int) -> float:
+        return float(self.pairs(store, [r1], [r2])[0])
+
+    def pairs(
+        self, store: RecordStore, rids_a: ArrayLike, rids_b: ArrayLike
+    ) -> FloatArray:
         mat = store.vectors(self.field)
-        u = self._unit_rows(mat[[r1, r2]])
-        cos = float(np.clip(u[0] @ u[1], -1.0, 1.0))
-        return float(np.arccos(cos) / np.pi)
+        ua = self._unit_rows(mat[np.asarray(rids_a, dtype=np.int64)])
+        ub = self._unit_rows(mat[np.asarray(rids_b, dtype=np.int64)])
+        cos = np.clip(np.einsum("ij,ij->i", ua, ub), -1.0, 1.0)
+        return np.arccos(cos) / np.pi
 
     def pairwise(self, store: RecordStore, rids: ArrayLike) -> FloatArray:
         rids = np.asarray(rids, dtype=np.int64)

@@ -74,9 +74,16 @@ class EuclideanDistance(FieldDistance):
 
     # ------------------------------------------------------------------
     def distance(self, store: RecordStore, r1: int, r2: int) -> float:
+        return float(self.pairs(store, [r1], [r2])[0])
+
+    def pairs(
+        self, store: RecordStore, rids_a: ArrayLike, rids_b: ArrayLike
+    ) -> FloatArray:
         mat = store.vectors(self.field)
-        d = float(np.linalg.norm(mat[r1] - mat[r2]))
-        return min(d / self.scale, 1.0)
+        diff = mat[np.asarray(rids_a, dtype=np.int64)] - mat[
+            np.asarray(rids_b, dtype=np.int64)
+        ]
+        return np.minimum(np.linalg.norm(diff, axis=1) / self.scale, 1.0)
 
     def pairwise(self, store: RecordStore, rids: ArrayLike) -> FloatArray:
         rids = np.asarray(rids, dtype=np.int64)

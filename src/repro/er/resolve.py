@@ -21,14 +21,13 @@ def resolve(
     store: RecordStore,
     rule: MatchRule,
     rids=None,
-    strategy: str = "auto",
 ) -> list[np.ndarray]:
     """Cluster ``rids`` (default: all records) by transitive closure of
     the match rule; returns all components, largest first."""
     if rids is None:
         rids = store.rids
     rids = np.asarray(rids, dtype=np.int64)
-    parts = PairwiseComputation(store, rule, strategy=strategy).apply(rids)
+    parts = PairwiseComputation(store, rule).apply(rids)
     parts.sort(key=lambda p: p.size, reverse=True)
     return parts
 

@@ -347,7 +347,7 @@ class KernelBackend:
                 np.float64
             )
         else:
-            column = packed.store.shingle_sets(packed.field)
+            column = packed.column
             target = column[int(rid)]
             lengths = sizes[rids]
             if target.size and int(lengths.sum()):
@@ -396,7 +396,7 @@ def _pair_intersections(
     # vectorized searchsorted merge per group — the flat concatenation
     # of each group's right rows comes from the column's batched
     # gather, so no per-row Python assembly.
-    column = packed.store.shingle_sets(packed.field)
+    column = packed.column
     sizes = packed.sizes
     order = np.argsort(rids_a, kind="stable")
     sorted_a = rids_a[order]

@@ -24,6 +24,7 @@ is ever pickled or snapshotted.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,26 +44,39 @@ _BITSET_VOCAB_LIMIT = 4096
 class PackedField:
     """Packed representation of one shingle field (see module docs)."""
 
-    __slots__ = ("store", "field", "sizes", "_vocab", "_codes", "_minhash", "_bitset")
+    __slots__ = (
+        "_store", "field", "column", "sizes", "_vocab", "_codes", "_minhash",
+        "_bitset",
+    )
 
     def __init__(self, store: RecordStore, field: str) -> None:
-        self.store = store
+        # The store caches this layout, so a strong reference back would
+        # make a cycle: a dropped store and its layouts would then wait
+        # for the cyclic garbage collector instead of being freed at once.
+        self._store = weakref.ref(store)
         self.field = field
-        self.sizes: IntArray = np.ascontiguousarray(
-            store.shingle_sets(field).sizes()
-        )
+        #: The packed field's rows (the store's own column object).
+        self.column = store.shingle_sets(field)
+        self.sizes: IntArray = np.ascontiguousarray(self.column.sizes())
         self._vocab: AnyArray | None = None
         self._codes: IntArray | None = None
         self._minhash: tuple[IntArray, IntArray, IntArray] | None = None
         self._bitset: AnyArray | None = None
+
+    @property
+    def store(self) -> RecordStore:
+        """The store this layout packs; callers reach the layout through
+        :func:`packed_field`, so they hold the store while using it."""
+        store = self._store()
+        assert store is not None, "packed layout outlived its store"
+        return store
 
     def _encoded(self) -> tuple[AnyArray, IntArray]:
         """``(vocab, codes)``: the sorted distinct scrambled ids, the
         sentinel's included, and every shingle's code into them,
         row-concatenated, with the sentinel's code appended last."""
         if self._vocab is None or self._codes is None:
-            column = self.store.shingle_sets(self.field)
-            mixed = _splitmix64(column.flat.astype(np.uint64))
+            mixed = _splitmix64(self.column.flat.astype(np.uint64))
             sentinel = _splitmix64(np.array([EMPTY_SENTINEL], dtype=np.uint64))
             self._vocab, inv = np.unique(
                 np.concatenate([mixed, sentinel]), return_inverse=True
@@ -83,7 +97,7 @@ class PackedField:
             all_codes = self._encoded()[1]
             codes = all_codes[:-1]
             sizes = self.sizes
-            offsets = self.store.shingle_sets(self.field).rebased_offsets()
+            offsets = self.column.rebased_offsets()
             empty = sizes == 0
             if empty.any():
                 codes = np.insert(codes, offsets[:-1][empty], all_codes[-1])

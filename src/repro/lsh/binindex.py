@@ -16,14 +16,10 @@ keeps the bucket work incremental, as Property 4 keeps the hash values:
   ``(records, tables)`` fingerprint matrix at once.  Only rows inside
   multi-member fingerprint runs (the collision candidates) have their
   key words gathered from the pools, for a byte-exact tie-break inside
-  fingerprint-equal runs and a final reorder that emits groups table
-  by table and, within a table, in byte-lexicographic key order.  That
-  order is the union order of a per-table parent-pointer forest replay
-  (the test suite keeps that replay as the reference and pins group
-  content and order against it bit for bit).
-* **Distinct edges** — the level's ``(head, member)`` union edges keep
-  only their first occurrence; a repeated edge is a union no-op, so the
-  clusters, their leaf order and their emission order are unchanged.
+  fingerprint-equal runs, so the groups are exactly the per-table
+  buckets whatever the fingerprints.  The groups are a set: their
+  edges go to one connected-components pass, so neither group order nor
+  repeated edges matter.
 * **Fingerprint persistence** — each level caches the ``(n_records,
   n_tables)`` fingerprint matrix under a byte budget, shared by every
   :class:`LevelBins` view of it; over budget means "compute, don't
@@ -208,11 +204,9 @@ def group_table(fps: AnyArray, words_of: WordsFn) -> CsrGroups:
     only the entries that sit inside multi-member fingerprint runs (the
     collision candidates).
 
-    The output is bit-identical — group content *and* order — to a
-    stable sort of each table's key bytes run table by table: groups
-    are >= 2 rows sharing the exact key bytes of one table, emitted
-    table by table and, within a table, in byte-lexicographic key
-    order, with members in ascending row position.
+    Groups are exactly the sets of >= 2 rows sharing the key bytes of
+    one table, members in ascending row position.  Groups come out
+    table by table, in fingerprint order within a table.
     """
     fps = np.asarray(fps, dtype=np.uint64)
     if fps.ndim == 1:
@@ -273,12 +267,6 @@ def group_table(fps: AnyArray, words_of: WordsFn) -> CsrGroups:
     lens = lens[keep]
     if g_starts.size == 0:
         return _empty_csr()
-    if g_starts.size > 1:
-        # Fingerprint runs are ordered by fingerprint; groups go out
-        # table by table, each in byte-lexicographic key order.
-        rep_order = np.lexsort((*words[g_starts].T[::-1], tables[g_starts]))
-        g_starts = g_starts[rep_order]
-        lens = lens[rep_order]
     starts = np.zeros(lens.size + 1, dtype=np.int64)
     np.cumsum(lens, out=starts[1:])
     pos = np.arange(int(starts[-1]), dtype=np.int64) + np.repeat(
@@ -290,31 +278,13 @@ def group_table(fps: AnyArray, words_of: WordsFn) -> CsrGroups:
 def csr_edges(
     members: IntArray, starts: IntArray
 ) -> tuple[IntArray, IntArray]:
-    """The union edges a forest replay of CSR groups performs:
-    ``(head, member)`` for every non-head member, in group order."""
+    """Union edges joining each CSR group: ``(head, member)`` for every
+    non-head member, in group order."""
     lens = starts[1:] - starts[:-1]
     heads = np.repeat(members[starts[:-1]], lens - 1)
     is_head = np.zeros(members.size, dtype=bool)
     is_head[starts[:-1]] = True
     return heads, members[~is_head]
-
-
-def distinct_edges(
-    heads: IntArray, members: IntArray, n: int
-) -> tuple[IntArray, IntArray]:
-    """Edges over ``0..n-1`` with repeats dropped, first occurrences
-    kept in order.  Exact for any union-find replay: a repeated edge
-    joins endpoints its first occurrence already joined."""
-    if heads.size < 2:
-        return heads, members
-    keys = heads * n + members
-    order = np.argsort(keys)
-    run_start = np.empty(order.size, dtype=bool)
-    run_start[0] = True
-    np.not_equal(keys[order[1:]], keys[order[:-1]], out=run_start[1:])
-    first = np.minimum.reduceat(order, np.flatnonzero(run_start))
-    first.sort()
-    return heads[first], members[first]
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +348,9 @@ class LevelBins:
     def edges(
         self, scheme: HashingScheme, rids: IntArray
     ) -> tuple[IntArray, IntArray]:
-        """The distinct union edges of one application of this level to
-        ``rids``, as row positions, in the order a per-table forest
-        replay of the level's groups first performs them."""
+        """The collision edges of one application of this level to
+        ``rids``, as row positions: each bucket's head joined to its
+        other members, in every table.  Repeats across tables stay."""
         owner = self._owner
         obs = owner.observer
         timed = obs is not None and obs.enabled
@@ -396,8 +366,6 @@ class LevelBins:
             scheme.table_count, int(rids.size), int(starts.size - 1)
         )
         heads, others = csr_edges(members, starts)
-        if scheme.table_count > 1:
-            heads, others = distinct_edges(heads, others, int(rids.size))
         if timed:
             assert obs is not None
             obs.histogram("binindex.level_group_seconds").observe(

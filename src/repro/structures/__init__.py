@@ -1,15 +1,12 @@
-"""Data structures from Appendix B: parent-pointer trees and the
-log-size bin index used for Largest-First cluster selection."""
+"""Data structures from Appendix B: the connected-components kernel
+and the log-size bin index used for Largest-First cluster selection."""
 
 from .bin_index import BinIndex
-from .parent_pointer_tree import Leaf, Node, ParentPointerForest
-from .union_find import ClusterUnionFind, UnionFind
+from .union_find import UnionFind, component_labels, components
 
 __all__ = [
-    "ParentPointerForest",
-    "Node",
-    "Leaf",
     "BinIndex",
     "UnionFind",
-    "ClusterUnionFind",
+    "component_labels",
+    "components",
 ]

@@ -1,19 +1,17 @@
-"""Disjoint-set union over dense integer ids.
+"""Connected components over dense integer ids.
 
-:class:`UnionFind` is the plain structure — not used by the adaptive
-algorithm itself (which uses the paper's parent-pointer trees), but
-handy as an independent implementation for cross-checking connected
-components in tests and for the simple transitive-closure ER stage.
+The outputs of a transitive hashing function (Definition 1) and of the
+pairwise function ``P`` (Definition 2) are connected components, which
+are sets.  :func:`components` computes them for a whole edge list in a
+handful of NumPy passes (:func:`component_labels`) and emits them in
+one canonical order: members in ascending id order, clusters by their
+smallest member.  The paper's parent-pointer trees (App. B.2) keep a
+leaf order only to make each merge O(1); nothing downstream depends on
+that order, so no structure here reproduces it.
 
-:class:`ClusterUnionFind` additionally threads a leaf chain through
-each component, mirroring the parent-pointer forest's merge rule
-exactly (larger side keeps its leaves first; on ties the first edge
-endpoint's tree stays left).  The blocked pairwise strategy uses it to
-union whole ``np.nonzero`` edge arrays per batch instead of walking
-them edge by edge at Python level, while producing byte-identical
-cluster arrays — same membership, same leaf order, same cluster
-emission order — as replaying the edges through
-:class:`~repro.structures.parent_pointer_tree.ParentPointerForest`.
+:class:`UnionFind` stays for the two callers that union incrementally,
+edge batch by edge batch, across calls: the streaming front-end and
+:class:`~repro.lsh.binindex.H1DeltaIndex`.
 """
 
 from __future__ import annotations
@@ -70,104 +68,68 @@ class UnionFind:
         return list(groups.values())
 
 
-class ClusterUnionFind:
-    """Union-find over ``0..n-1`` that tracks leaf chains per component.
+def component_labels(n: int, a: IntArray, b: IntArray) -> IntArray:
+    """Per node of ``0..n-1``: the smallest node of its connected
+    component under the edges ``(a[i], b[i])``.
 
-    Reproduces the observable behaviour of running the same union
-    sequence through a :class:`~repro.structures.parent_pointer_tree.
-    ParentPointerForest` seeded with ``make_singleton`` in id order:
-
-    * merging keeps the larger component's chain first; on equal sizes
-      the component of the edge's *first* endpoint stays first (the
-      forest swaps only on a strict ``root1.n_leaves < root2.n_leaves``);
-    * :meth:`clusters` emits components ordered by their first-created
-      member — i.e. by smallest id, matching ``roots()`` iteration over
-      insertion-ordered leaves — with members in chain order.
-
-    Internal state lives in Python lists rather than NumPy arrays: the
-    merge loop is sequential by nature (each union's tie-break depends
-    on sizes produced by earlier unions) and list indexing avoids the
-    scalar boxing that dominates per-edge array access.
+    Each round hooks every edge's larger root onto its smaller one, then
+    pointer-jumps until each node points at a root.  Roots only ever
+    point lower, so the forest stays acyclic and the surviving root of
+    a component is its smallest member.  Edges inside one component
+    drop out after every round; each round at least halves the roots
+    that still have a crossing edge, so the loop runs O(log n) times.
     """
+    labels = np.arange(n, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    # Every node starts as its own root, so the first round hooks the
+    # endpoints themselves.
+    la, lb = a, b
+    while la.size:
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            hop = labels[labels]
+            if (hop == labels).all():
+                break
+            labels = hop
+        la = labels[a]
+        lb = labels[b]
+        cross = la != lb
+        if not cross.any():
+            break
+        a, b = a[cross], b[cross]
+        la, lb = la[cross], lb[cross]
+    return labels
 
-    __slots__ = ("_parent", "_size", "_head", "_tail", "_next")
 
-    def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-        self._size = [1] * n
-        self._head = list(range(n))
-        self._tail = list(range(n))
-        self._next = [-1] * n
+def components(rids: IntArray, a: IntArray, b: IntArray) -> list[IntArray]:
+    """Connected components of ``rids`` under edges between positions
+    ``(a[i], b[i])``, as ``int64`` rid arrays.
 
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        """Merge the components of ``a`` and ``b`` (no-op if same).
-
-        ``a`` plays the forest's ``find_root(r1)`` role: its component
-        stays left unless strictly smaller than ``b``'s.
-        """
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        size = self._size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        size[ra] += size[rb]
-        self._next[self._tail[ra]] = self._head[rb]
-        self._tail[ra] = self._tail[rb]
-
-    def union_edges(self, a: IntArray, b: IntArray) -> None:
-        """Union every edge ``(a[i], b[i])`` in enumeration order."""
-        parent = self._parent
-        size = self._size
-        head = self._head
-        tail = self._tail
-        nxt = self._next
-        for x, y in zip(a.tolist(), b.tolist()):
-            ra = x
-            while parent[ra] != ra:
-                ra = parent[ra]
-            while parent[x] != ra:
-                parent[x], x = ra, parent[x]
-            rb = y
-            while parent[rb] != rb:
-                rb = parent[rb]
-            while parent[y] != rb:
-                parent[y], y = rb, parent[y]
-            if ra == rb:
-                continue
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-            nxt[tail[ra]] = head[rb]
-            tail[ra] = tail[rb]
-
-    def clusters(self) -> list[IntArray]:
-        """All components, ordered by first-created member, each as an
-        ``int64`` array of member ids in chain order."""
-        n = len(self._parent)
-        out: list[IntArray] = []
-        seen = [False] * n
-        nxt = self._next
-        for x in range(n):
-            root = self.find(x)
-            if seen[root]:
-                continue
-            seen[root] = True
-            members = np.empty(self._size[root], dtype=np.int64)
-            cur = self._head[root]
-            for i in range(self._size[root]):
-                members[i] = cur
-                cur = nxt[cur]
-            out.append(members)
-        return out
+    Canonical order: members ascending, clusters by smallest member.
+    Repeated edges and self-loops are harmless.
+    """
+    rids = np.asarray(rids, dtype=np.int64)
+    n = int(rids.size)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if n > 1 and bool((rids[1:] < rids[:-1]).any()):
+        # Label by rank so that the smallest position is the smallest rid.
+        order = np.argsort(rids, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64)
+        rids = rids[order]
+        a, b = rank[a], rank[b]
+    else:
+        rids = rids.copy()
+    if a.size == 0:
+        return list(rids.reshape(n, 1))
+    labels = component_labels(n, a, b)
+    if not labels.any():
+        return [rids]
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    members = rids[order]
+    bounds = [0, *cuts.tolist(), n]
+    return [members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

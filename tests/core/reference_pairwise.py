@@ -1,13 +1,14 @@
-"""The per-chunk rowwise ``P``: the oracle for the production rowwise path.
+"""The reference ``P``: a row loop over a parent-pointer forest.
 
-This is the rowwise strategy as it ran before the memo round trip moved
-to one per cluster: each chunk of candidates that survives transitive
-skipping (the paper's §6.1.1 optimization (2)) makes its own counted
-``memo.lookup`` and records its fresh verdicts with its own
-``memo.record``.  :meth:`~repro.core.pairwise_fn.PairwiseComputation.
-_apply_rowwise` must reproduce its clusters byte for byte (content and
-leaf order), its ``pairs_compared`` and the memo's ``hits``, ``misses``,
-``pairs`` and ``evictions``.
+Each record is compared with every earlier record of the input, one
+row at a time: a counted ``memo.lookup`` of the row's pairs,
+``match_one_to_many`` on the pairs the memo does not know, a
+``memo.record`` of their fresh verdicts and one forest union per match.
+:meth:`~repro.core.pairwise_fn.PairwiseComputation.apply` evaluates the
+same pairs in one vectorised pass and must reproduce this partition (in
+the canonical order: members ascending, clusters by smallest rid), its
+``pairs_compared`` and the memo's ``hits``, ``misses``, ``pairs`` and
+``evictions``.
 """
 
 from __future__ import annotations
@@ -15,21 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pairmemo import MATCH, NO_MATCH, UNKNOWN, pack_pair_keys
-from repro.structures.parent_pointer_tree import ParentPointerForest
+from tests.structures.parent_pointer_tree import ParentPointerForest
 
 
-def reference_apply_rowwise(computation, rids, counters=None):
-    """Rowwise ``P`` over ``rids`` with one memo round trip per chunk.
-
-    Reads ``store``, ``rule``, the active memo and ``_ROW_CHUNK`` from
-    ``computation`` (a :class:`~repro.core.pairwise_fn.
-    PairwiseComputation`), so an instance-level chunk override applies
-    to both paths.
-    """
+def reference_apply(computation, rids, counters=None):
+    """``P`` over ``rids`` as a per-row loop; reads ``store``, ``rule``
+    and the active memo from ``computation`` (a
+    :class:`~repro.core.pairwise_fn.PairwiseComputation`)."""
     rids = np.asarray(rids, dtype=np.int64)
     memo = computation._active_memo()
     store, rule = computation.store, computation.rule
-    chunk = computation._ROW_CHUNK
     forest = ParentPointerForest()
     int_rids = rids.tolist()
     for rid in int_rids:
@@ -37,42 +33,26 @@ def reference_apply_rowwise(computation, rids, counters=None):
     compared = 0
     for j in range(1, len(int_rids)):
         rid_j = int_rids[j]
-        rid_j_arr = np.asarray(rid_j, dtype=np.int64)
-        for lo in range(0, j, chunk):
-            hi = min(lo + chunk, j)
-            root_j = forest.find_root(rid_j)
-            pending = [
-                i
-                for i in range(lo, hi)
-                if forest.find_root(int_rids[i]) is not root_j
-            ]
-            if not pending:
-                continue
-            candidates = rids[pending]
-            if memo is not None:
-                keys = pack_pair_keys(rid_j_arr, candidates)
-                verdicts = memo.lookup(keys)
-                unknown = np.nonzero(verdicts == UNKNOWN)[0]
-                if unknown.size:
-                    fresh = np.asarray(
-                        rule.match_one_to_many(store, rid_j, candidates[unknown]),
-                        dtype=bool,
-                    )
-                    compared += int(unknown.size)
-                    memo.record(keys[unknown], fresh)
-                    verdicts[unknown] = np.where(fresh, MATCH, NO_MATCH)
-                matches = verdicts == MATCH
-            else:
-                matches = rule.match_one_to_many(store, rid_j, candidates)
-                compared += len(pending)
-            for idx, hit in zip(pending, matches):
-                if hit:
-                    forest.union_records(rid_j, int_rids[idx])
+        candidates = rids[:j]
+        if memo is not None:
+            keys = pack_pair_keys(np.int64(rid_j), candidates)
+            verdicts = memo.lookup(keys)
+            unknown = np.nonzero(verdicts == UNKNOWN)[0]
+            if unknown.size:
+                fresh = np.asarray(
+                    rule.match_one_to_many(store, rid_j, candidates[unknown]),
+                    dtype=bool,
+                )
+                compared += int(unknown.size)
+                memo.record(keys[unknown], fresh)
+                verdicts[unknown] = np.where(fresh, MATCH, NO_MATCH)
+            matches = verdicts == MATCH
+        else:
+            matches = rule.match_one_to_many(store, rid_j, candidates)
+            compared += j
+        for i in np.flatnonzero(matches).tolist():
+            forest.union_records(rid_j, int_rids[i])
     if counters is not None:
+        counters.pairs_charged += len(int_rids) * (len(int_rids) - 1) // 2
         counters.pairs_compared += compared
-    return [
-        np.fromiter(
-            ParentPointerForest.leaves(root), dtype=np.int64, count=root.n_leaves
-        )
-        for root in forest.roots()
-    ]
+    return forest.canonical_clusters()

@@ -1,7 +1,8 @@
-"""End-to-end identity: final clusters are bit-identical between the
-bin index and the reference grouping of ``tests/lsh/keyref.py`` (the
-per-table forest replay and the streaming dict tables), on the
-production and reference kernels, across worker counts, snapshot
+"""End-to-end identity: final clusters — the partition in the canonical
+order, members ascending and clusters by smallest rid — are identical
+between the bin index and the reference grouping of
+``tests/lsh/keyref.py`` (the per-table forest replay and the streaming
+dict tables), on the production and reference kernels, across snapshot
 restore, streaming inserts, serving-session store extensions and the
 LSH-X baseline; and the fingerprints and key words the bin index reads
 straight from the signature pools equal the ones defined over packed

@@ -101,7 +101,13 @@ class TestSerialization:
         assert "signature_cache" not in config.to_dict()
         assert not hasattr(config, "signature_cache")
         expected = dict(data)
-        for key in ("signature_cache", "pair_memo", "bin_index", "bin_index_bytes"):
+        for key in (
+            "signature_cache",
+            "pair_memo",
+            "bin_index",
+            "bin_index_bytes",
+            "pairwise_strategy",
+        ):
             del expected[key]
         assert config.to_dict() == expected
 
@@ -129,6 +135,23 @@ class TestSerialization:
         assert config.epsilon == 0.2
         assert not hasattr(config, "kernels")
         assert "kernels" not in config.to_dict()
+
+
+    @pytest.mark.parametrize("strategy", ["auto", "rowwise", "blocked"])
+    def test_from_dict_drops_retired_pairwise_strategy(self, strategy):
+        # Dicts written while P had a rowwise and a blocked strategy.
+        data = {
+            **AdaptiveConfig(epsilon=0.2).to_dict(),
+            "pairwise_strategy": strategy,
+        }
+        config = AdaptiveConfig.from_dict(data)
+        assert config.epsilon == 0.2
+        assert not hasattr(config, "pairwise_strategy")
+        assert "pairwise_strategy" not in config.to_dict()
+
+    def test_pairwise_strategy_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            AdaptiveConfig(pairwise_strategy="rowwise")
 
 
 class TestConfigOnlySurface:

@@ -104,18 +104,41 @@ class TestLookupRecord:
         got = memo.lookup(seen)
         assert got.tolist() == [last[int(k)] for k in seen]
 
-    def test_uncounted_lookup_and_tally(self):
+    def test_lookup_skips_pairs_with_a_fresh_endpoint(self):
+        """Only pairs whose records both have a recorded verdict reach
+        the table; the rest read UNKNOWN and count as misses, as a
+        probe would have counted them."""
         memo = PairVerdictMemo()
         keys = pack_pair_keys(
-            np.arange(4, dtype=np.int64), np.arange(4, 8, dtype=np.int64)
+            np.array([0, 1, 0, 2, 9], dtype=np.int64),
+            np.array([1, 2, 2, 3, 1 << 20], dtype=np.int64),
         )
         memo.record(keys[:2], np.array([True, False]))
-        assert memo.lookup(keys, count=False).tolist() == [
-            MATCH, NO_MATCH, UNKNOWN, UNKNOWN
+        probed = []
+        find = memo._find_slots
+
+        def spy(batch):
+            probed.append(batch.copy())
+            return find(batch)
+
+        memo._find_slots = spy
+        assert memo.lookup(keys).tolist() == [
+            MATCH, NO_MATCH, UNKNOWN, UNKNOWN, UNKNOWN
         ]
-        assert memo.hits == memo.misses == 0
-        memo.tally(3, 1)
-        assert memo.hits == 3 and memo.misses == 1
+        # (0, 2) has two seen endpoints and is probed; (2, 3) and the
+        # pair beyond every recorded id are not.
+        assert [b.tolist() for b in probed] == [keys[:3].tolist()]
+        assert memo.hits == 2 and memo.misses == 3
+
+    def test_cold_lookup_probes_nothing(self):
+        memo = PairVerdictMemo()
+        one = np.zeros(1, dtype=np.int64)
+        memo.record(pack_pair_keys(one, one + 1), np.array([True]))
+        memo._clear()
+        memo._find_slots = None  # any probe would raise
+        keys = pack_pair_keys(np.arange(5, dtype=np.int64), np.int64(7))
+        assert not memo.lookup(keys).any()
+        assert memo.misses == 5
 
     def test_growth_preserves_verdicts(self):
         memo = PairVerdictMemo()

@@ -1,7 +1,7 @@
 """Property tests: pair-verdict memoization never changes output.
 Memo-on equals memo-off (no memo, or one detached by
-:func:`detach_memo`) bit-for-bit — cluster content AND leaf order —
-across seeds, strategies, snapshot restores, and
+:func:`detach_memo`) bit-for-bit — the partition in the canonical order
+— across seeds, row chunkings, snapshot restores, and
 streaming insert-then-refine; a fully warm memo makes a repeated refine
 free (``pairs_compared == 0``), and a zero-budget memo compares every
 pair a detached one does."""
@@ -65,7 +65,7 @@ def _bound_memo(store, rule):
 
 
 def _assert_identical(expected, actual):
-    """Bit-identity: same cluster count, content, and leaf order."""
+    """Bit-identity: same cluster count, content, and order."""
     assert len(expected) == len(actual)
     for a, b in zip(expected, actual):
         assert np.array_equal(a, b)
@@ -77,20 +77,20 @@ def _cluster_lists(result):
 
 @pytest.mark.parametrize("kind", ["vector", "shingles"])
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("strategy", ["rowwise", "blocked"])
-def test_cold_and_warm_match_memo_off(kind, seed, strategy, monkeypatch):
-    """Both strategies, cold memo (every pair unknown) and warm memo
-    (every pair remembered) reproduce the memo-off edge replay exactly."""
-    # Shrink the row-block height so these modest stores span several
-    # blocks and the cross-block rectangle planner is exercised.
-    monkeypatch.setattr(pairwise_fn, "BLOCK", 32)
+@pytest.mark.parametrize("chunks", ["one", "many"])
+def test_cold_and_warm_match_memo_off(kind, seed, chunks, monkeypatch):
+    """One row chunk or many, cold memo (every pair unknown) and warm
+    memo (every pair remembered) reproduce the memo-off output exactly."""
     store, rule = _random_case(kind, seed)
     rids = store.rids
+    if chunks == "many":
+        # Row chunks of 32 rows, so these modest stores span several.
+        monkeypatch.setattr(pairwise_fn, "_CROSS_CELL_CHUNK", 32 * rids.size)
 
-    baseline = PairwiseComputation(store, rule, strategy=strategy).apply(rids)
+    baseline = PairwiseComputation(store, rule).apply(rids)
 
     memo = _bound_memo(store, rule)
-    memoized = PairwiseComputation(store, rule, strategy=strategy, memo=memo)
+    memoized = PairwiseComputation(store, rule, memo=memo)
     _assert_identical(baseline, memoized.apply(rids))  # cold
     warm = memoized.apply(rids)  # every verdict remembered
     _assert_identical(baseline, warm)
@@ -100,19 +100,20 @@ def test_cold_and_warm_match_memo_off(kind, seed, strategy, monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_partially_warm_blocked_match_memo_off(seed, monkeypatch):
     """The interesting regime: some pairs remembered, some not.  Warm
-    the memo on a subset, then apply to the full set — the vertex-cover
-    pair job, intra rectangle, and cross rectangles must still merge to
-    the memo-off edge stream."""
-    monkeypatch.setattr(pairwise_fn, "BLOCK", 32)
+    the memo on a subset, then apply to the full set in row chunks
+    ("blocks") of 32 rows — chunks mixing known and unknown pairs
+    evaluate only the unknown ones, and the output must still equal the
+    memo-off one."""
     store, rule = _random_case("shingles", seed)
     rids = store.rids
-    baseline = PairwiseComputation(store, rule, strategy="blocked").apply(rids)
+    monkeypatch.setattr(pairwise_fn, "_CROSS_CELL_CHUNK", 32 * rids.size)
+    baseline = PairwiseComputation(store, rule).apply(rids)
 
     rng = np.random.default_rng(seed + 100)
     for frac in (0.25, 0.5, 0.9):
         memo = _bound_memo(store, rule)
         subset = rids[rng.random(rids.size) < frac]
-        pc = PairwiseComputation(store, rule, strategy="blocked", memo=memo)
+        pc = PairwiseComputation(store, rule, memo=memo)
         if subset.size >= 2:
             pc.apply(subset)  # warms only the subset's pairs
         _assert_identical(baseline, pc.apply(rids))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import pairwise_fn
 from repro.core.pairwise_fn import PairwiseComputation
 from repro.core.result import WorkCounters
-from repro.errors import ConfigurationError
 from repro.structures import UnionFind
 from tests.conftest import make_shingle_store, make_vector_store
 from repro.distance import CosineDistance, JaccardDistance, ThresholdRule
@@ -19,6 +19,15 @@ def brute_force_components(store, rule):
             if rule.is_match(store, i, j):
                 uf.union(i, j)
     return {frozenset(c) for c in uf.components()}
+
+
+@pytest.fixture(params=["one", "many"])
+def chunks(request, monkeypatch):
+    """``one``: every input fits one row chunk; ``many``: row chunks of
+    a few rows, so the chunk-vs-later evaluations run."""
+    if request.param == "many":
+        monkeypatch.setattr(pairwise_fn, "_CROSS_CELL_CHUNK", 300)
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -36,19 +45,27 @@ def shingle_setup():
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("strategy", ["rowwise", "blocked", "auto"])
-    def test_components_match_brute_force_vectors(self, vector_setup, strategy):
+    def test_components_match_brute_force_vectors(self, vector_setup, chunks):
         store, rule = vector_setup
-        p = PairwiseComputation(store, rule, strategy=strategy)
+        p = PairwiseComputation(store, rule)
         got = {frozenset(c.tolist()) for c in p.apply(store.rids)}
         assert got == brute_force_components(store, rule)
 
-    @pytest.mark.parametrize("strategy", ["rowwise", "blocked"])
-    def test_components_match_brute_force_shingles(self, shingle_setup, strategy):
+    def test_components_match_brute_force_shingles(self, shingle_setup, chunks):
         store, rule = shingle_setup
-        p = PairwiseComputation(store, rule, strategy=strategy)
+        p = PairwiseComputation(store, rule)
         got = {frozenset(c.tolist()) for c in p.apply(store.rids)}
         assert got == brute_force_components(store, rule)
+
+    def test_output_is_canonical(self, vector_setup, chunks):
+        """Members ascending, clusters by smallest rid, whatever order
+        the input lists its records in."""
+        store, rule = vector_setup
+        rids = np.random.default_rng(5).permutation(len(store))
+        clusters = PairwiseComputation(store, rule).apply(rids)
+        for c in clusters:
+            assert (np.diff(c) > 0).all()
+        assert [int(c[0]) for c in clusters] == sorted(int(c[0]) for c in clusters)
 
     def test_subset_components(self, vector_setup):
         store, rule = vector_setup
@@ -59,13 +76,12 @@ class TestCorrectness:
             np.sort(np.concatenate(clusters)), np.sort(subset)
         )
 
-    def test_rowwise_equals_blocked(self, vector_setup):
+    def test_one_chunk_equals_many_chunks(self, vector_setup, monkeypatch):
         store, rule = vector_setup
-        row = PairwiseComputation(store, rule, strategy="rowwise")
-        blk = PairwiseComputation(store, rule, strategy="blocked")
-        got_row = {frozenset(c.tolist()) for c in row.apply(store.rids)}
-        got_blk = {frozenset(c.tolist()) for c in blk.apply(store.rids)}
-        assert got_row == got_blk
+        one = PairwiseComputation(store, rule).apply(store.rids)
+        monkeypatch.setattr(pairwise_fn, "_CROSS_CELL_CHUNK", 1)
+        many = PairwiseComputation(store, rule).apply(store.rids)
+        assert [c.tolist() for c in one] == [c.tolist() for c in many]
 
 
 class TestEdgeCases:
@@ -84,32 +100,28 @@ class TestEdgeCases:
         assert len(clusters) == 1
 
     def test_invalid_strategy(self, vector_setup):
+        """``P`` has one path; the rowwise/blocked choice is gone."""
         store, rule = vector_setup
-        with pytest.raises(ConfigurationError):
-            PairwiseComputation(store, rule, strategy="quantum")
+        with pytest.raises(TypeError):
+            PairwiseComputation(store, rule, strategy="rowwise")
 
 
 class TestCounters:
     def test_pairs_charged_is_conservative(self, vector_setup):
-        """Cost model charges C(m, 2) regardless of skipping."""
+        """Cost model charges C(m, 2) regardless of the memo."""
         store, rule = vector_setup
         counters = WorkCounters()
         m = len(store)
-        PairwiseComputation(store, rule, strategy="blocked").apply(
-            store.rids, counters
-        )
+        PairwiseComputation(store, rule).apply(store.rids, counters)
         assert counters.pairs_charged == m * (m - 1) // 2
 
-    def test_rowwise_skipping_compares_fewer(self, vector_setup):
-        """Optimization (2): transitively closed pairs are skipped, so
-        rowwise compares strictly fewer pairs than charged (the store
-        has planted clusters, so closures exist)."""
+    def test_compares_every_unknown_pair(self, vector_setup, chunks):
+        """The match rules are not transitive, so without a memo every
+        pair is compared once, however the rows are chunked."""
         store, rule = vector_setup
         counters = WorkCounters()
-        PairwiseComputation(store, rule, strategy="rowwise").apply(
-            store.rids, counters
-        )
-        assert counters.pairs_compared < counters.pairs_charged
+        PairwiseComputation(store, rule).apply(store.rids, counters)
+        assert counters.pairs_compared == counters.pairs_charged
 
     def test_charges_accumulate(self, vector_setup):
         store, rule = vector_setup

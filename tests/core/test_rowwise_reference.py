@@ -1,22 +1,25 @@
-"""The rowwise ``P`` with one memo round trip per cluster reproduces the
-per-chunk oracle (``tests/core/reference_pairwise.py``) exactly: cluster
-bytes (content and leaf order), ``pairs_compared`` and the memo's
-``hits``/``misses``/``pairs``/``evictions``, with no memo, a memo seeded
-with any subset of the cluster's verdicts, a frozen memo and a disabled
-memo."""
+"""The one vectorised ``P`` reproduces the row-loop oracle
+(``tests/core/reference_pairwise.py``) exactly: the partition in the
+canonical order (members ascending, clusters by smallest rid),
+``pairs_compared`` and the memo's ``hits``/``misses``/``pairs``/
+``evictions``, with no memo, a cold memo, a memo seeded with any subset
+of the input's verdicts, a frozen memo and a disabled memo, whether the
+input fits one row chunk or spans many."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pairmemo import PairVerdictMemo, pack_pair_keys
+from repro.core import pairwise_fn
 from repro.core.pairwise_fn import PairwiseComputation
 from repro.core.result import WorkCounters
 from repro.distance import CosineDistance, JaccardDistance, ThresholdRule
 from tests.conftest import make_shingle_store, make_vector_store
-from tests.core.reference_pairwise import reference_apply_rowwise
+from tests.core.reference_pairwise import reference_apply
 
 # Planted clusters plus noise, so a random draw of up to 12 records
 # mixes matches, non-matches and transitive links.
@@ -26,7 +29,7 @@ CASES = {
     "vector": (_VECTOR, ThresholdRule(CosineDistance("vec"), 0.08)),
     "shingles": (_SHINGLES, ThresholdRule(JaccardDistance("shingles"), 0.45)),
 }
-MEMO_MODES = ("none", "seeded", "frozen", "disabled")
+MEMO_MODES = ("none", "cold", "seeded", "frozen", "disabled")
 
 
 def _memo(mode, store, rule, rids, seeded):
@@ -34,6 +37,8 @@ def _memo(mode, store, rule, rids, seeded):
     unordered pairs whose true verdicts are remembered up front."""
     if mode == "none":
         return None
+    if mode == "cold":
+        seeded = np.zeros_like(seeded)
     # A frozen memo's budget holds exactly the initial table, so the
     # seeded verdicts land before the filler below freezes it.
     memo = PairVerdictMemo(max_bytes=4096 * 9 if mode == "frozen" else 64 << 20)
@@ -59,18 +64,18 @@ def _memo_counts(memo):
     return memo.hits, memo.misses, memo.pairs, memo.evictions
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(sorted(CASES)),
     mode=st.sampled_from(MEMO_MODES),
-    chunk=st.sampled_from((16, 3, 1)),
+    cells=st.sampled_from((1 << 21, 40, 7)),
     data=st.data(),
 )
-def test_rowwise_matches_per_chunk_reference(kind, mode, chunk, data):
+def test_one_p_matches_rowwise_reference(kind, mode, cells, data):
     store, rule = CASES[kind]
     picked = data.draw(
         st.lists(
-            st.integers(0, len(store) - 1), min_size=2, max_size=12, unique=True
+            st.integers(0, len(store) - 1), min_size=2, max_size=24, unique=True
         ),
         label="rids",
     )
@@ -84,39 +89,38 @@ def test_rowwise_matches_per_chunk_reference(kind, mode, chunk, data):
         dtype=bool,
     )
     runs = []
-    for apply in (reference_apply_rowwise, PairwiseComputation._apply_rowwise):
+    for apply in (reference_apply, PairwiseComputation.apply):
         memo = _memo(mode, store, rule, rids, seeded)
-        computation = PairwiseComputation(store, rule, strategy="rowwise", memo=memo)
-        # A narrower chunk re-evaluates skipping mid-row.
-        computation._ROW_CHUNK = chunk
+        computation = PairwiseComputation(store, rule, memo=memo)
         counters = WorkCounters()
-        clusters = apply(computation, rids.copy(), counters)
-        runs.append((clusters, counters.pairs_compared, _memo_counts(memo)))
-    (expected, expected_compared, expected_memo), (actual, compared, memo_counts) = runs
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
+        with pytest.MonkeyPatch.context() as patch:
+            # Fewer cells per chunk split the input into row chunks.
+            patch.setattr(pairwise_fn, "_CROSS_CELL_CHUNK", cells)
+            clusters = apply(computation, rids.copy(), counters)
+        runs.append(
+            (clusters, counters.pairs_compared, counters.pairs_charged,
+             _memo_counts(memo))
+        )
+    expected, actual = runs
+    assert len(actual[0]) == len(expected[0])
+    for want, got in zip(expected[0], actual[0]):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    assert compared == expected_compared
-    assert memo_counts == expected_memo
+    assert actual[1:] == expected[1:]
 
 
 def test_warm_memo_cluster_compares_nothing():
     """A cluster whose every pair is remembered makes no comparison and
-    counts one hit per pair the loop consults, exactly as the oracle."""
+    counts one hit per pair, exactly as the oracle."""
     store, rule = CASES["vector"]
     rids = np.arange(12, dtype=np.int64)
     seeded = np.ones(66, dtype=bool)
     memos = [_memo("seeded", store, rule, rids, seeded) for _ in range(2)]
     ref_counters, counters = WorkCounters(), WorkCounters()
-    reference_apply_rowwise(
-        PairwiseComputation(store, rule, strategy="rowwise", memo=memos[0]),
-        rids,
-        ref_counters,
+    reference_apply(
+        PairwiseComputation(store, rule, memo=memos[0]), rids, ref_counters
     )
-    PairwiseComputation(store, rule, strategy="rowwise", memo=memos[1]).apply(
-        rids, counters
-    )
+    PairwiseComputation(store, rule, memo=memos[1]).apply(rids, counters)
     assert counters.pairs_compared == ref_counters.pairs_compared == 0
     assert memos[1].misses == memos[0].misses == 0
-    assert memos[1].hits == memos[0].hits > 0
+    assert memos[1].hits == memos[0].hits == 66

@@ -66,6 +66,29 @@ class TestPackedLayout:
         packed = packed_field(store, "signatures")
         assert packed_field(store, "signatures") is packed
         assert store._packed_cache == {"signatures": packed}
+        assert packed.store is store
+
+    def test_dropped_store_frees_its_layout_without_gc(self):
+        """The layout refers back to its store weakly, so no reference
+        cycle holds a dropped store's columns and packed arrays until
+        the cyclic collector runs."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            store = RecordStore(
+                Schema.single_shingles("s"),
+                {"s": [np.array([1, 2]), np.array([2, 3]), np.array([7])]},
+            )
+            packed = packed_field(store, "s")
+            bitset = weakref.ref(packed.bitset)
+            dead = weakref.ref(store)
+            del store, packed
+            assert dead() is None
+            assert bitset() is None
+        finally:
+            gc.enable()
 
 
 def _cora_method(n_records=400):

@@ -10,7 +10,9 @@ the original definitions as the reference:
   groups (:func:`iter_table_collisions`);
 * the parent-pointer forest replay of those groups that
   :meth:`TransitiveHashingFunction.apply` used to run
-  (:func:`reference_apply`), and the per-table ``bytes -> rid`` dict
+  (:func:`reference_apply`, its partition emitted in the canonical
+  order: members ascending, clusters by smallest rid), and the
+  per-table ``bytes -> rid`` dict
   tables that streaming ingest used to maintain
   (:func:`reference_ingest`); :func:`use_reference_grouping` swaps both
   in, so an identity test compares production against them.
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.transitive import TransitiveHashingFunction
 from repro.kernels.base import _splitmix64
 from repro.online import StreamingTopK
-from repro.structures.parent_pointer_tree import ParentPointerForest
+from tests.structures.parent_pointer_tree import ParentPointerForest
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +100,7 @@ def iter_table_collisions(scheme, rids):
 def reference_apply(self, rids, counters=None):
     """``TransitiveHashingFunction.apply`` as a per-table forest replay:
     fresh tables per call, group members unioned into the head's tree
-    table by table, one cluster per root in leaf order."""
+    table by table, one cluster per root in the canonical order."""
     rids = np.asarray(rids, dtype=np.int64)
     forest = ParentPointerForest()
     int_rids = rids.tolist()
@@ -111,12 +113,7 @@ def reference_apply(self, rids, counters=None):
                 forest.union_records(anchor, int_rids[int(pos)])
     if counters is not None:
         counters.table_inserts += len(int_rids) * self.scheme.table_count
-    return [
-        np.fromiter(
-            ParentPointerForest.leaves(root), dtype=np.int64, count=root.n_leaves
-        )
-        for root in forest.roots()
-    ]
+    return forest.canonical_clusters()
 
 
 def reference_ingest(self, fresh):

@@ -1,12 +1,13 @@
 """Property tests for the persistent bin index.
 
-The load-bearing claim is *bit-identity*: :func:`group_table` must
-reproduce the legacy void-argsort collision grouping — group content
-AND order — for every input, including adversarial fingerprint
-regimes (all fingerprints equal, low-entropy fingerprints) where the
-byte tie-break inside fingerprint runs does all the work; and a whole
-level grouped at once, with repeated union edges dropped, must give
-the clusters of the per-table parent-pointer forest replay.
+The load-bearing claim is *exact grouping*: :func:`group_table` must
+produce the same set of collision groups as the legacy void-argsort
+grouping for every input, including adversarial fingerprint regimes
+(all fingerprints equal, low-entropy fingerprints) where the byte
+tie-break inside fingerprint runs does all the work; and a whole level
+grouped at once must give the partition of the per-table
+parent-pointer forest replay, in the canonical order (members
+ascending, clusters by smallest rid).
 """
 
 from types import SimpleNamespace
@@ -73,9 +74,12 @@ def words_of_rows(rows):
 
 
 def assert_same_groups(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        np.testing.assert_array_equal(g, e)
+    """Same groups, each with members ascending; group order is free."""
+    for g in got:
+        assert (np.diff(g) > 0).all()
+    assert sorted(g.tolist() for g in got) == sorted(
+        np.sort(e).tolist() for e in expected
+    )
 
 
 @st.composite
@@ -307,8 +311,10 @@ def level_groups(bins, scheme, rids):
 
 
 def assert_same_edges(got, expected):
-    np.testing.assert_array_equal(got[0], expected[0])
-    np.testing.assert_array_equal(got[1], expected[1])
+    """Same set of ``(head, member)`` edges; order and repeats are free."""
+    assert set(zip(*(e.tolist() for e in got))) == set(
+        zip(*(e.tolist() for e in expected))
+    )
 
 
 class TestBudgetDegradation:
@@ -319,8 +325,11 @@ class TestBudgetDegradation:
         cached = SchemeBinIndex(len(store))
         broke = SchemeBinIndex(len(store), max_bytes=0)
         legacy = legacy_edges(scheme, rids)
-        assert_same_edges(cached.level(1).edges(scheme, rids), legacy)
-        assert_same_edges(broke.level(1).edges(scheme, rids), legacy)
+        cached_edges = cached.level(1).edges(scheme, rids)
+        broke_edges = broke.level(1).edges(scheme, rids)
+        assert_same_edges(cached_edges, legacy)
+        for got, want in zip(broke_edges, cached_edges):
+            np.testing.assert_array_equal(got, want)
         assert broke.degraded == 1
         assert broke.indexed_bytes == 0
         assert cached.indexed_bytes > 0
@@ -412,10 +421,11 @@ def apply_both(scheme, n, subsets, regime):
 
 
 class TestLevelEquivalence:
-    """Level-at-once grouping plus distinct edges against the reference
-    per-table collisions + ``ParentPointerForest`` replay of
-    :func:`tests.lsh.keyref.reference_apply`: cluster content, leaf
-    order and cluster order must all match."""
+    """Level-at-once grouping plus one components pass against the
+    reference per-table collisions + ``ParentPointerForest`` replay of
+    :func:`tests.lsh.keyref.reference_apply`: the partition must match,
+    in the canonical order (members ascending, clusters by smallest
+    rid)."""
 
     @settings(max_examples=80, deadline=None)
     @given(

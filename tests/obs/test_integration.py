@@ -73,6 +73,14 @@ class TestObservedRun:
             assert snap["counters"]["pairwise.pairs_compared"] == (
                 result.counters.pairs_compared
             )
+        if result.counters.pairs_charged:
+            # One timing histogram for P, whatever the input size.
+            timed = [
+                name
+                for name in snap["histograms"]
+                if name.startswith("pairwise.") and name.endswith("seconds")
+            ]
+            assert timed == ["pairwise.seconds"]
 
 
 class TestTraceViaObserver:

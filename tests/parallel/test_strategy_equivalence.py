@@ -1,6 +1,6 @@
-"""Property test: the rowwise and blocked pairwise strategies produce
-identical connected components on random stores and rules across
-seeds, whether the blocked pass fits one row-block or spans many."""
+"""Property test: ``P`` produces the row-loop reference's connected
+components, in the canonical order, on random stores and rules across
+seeds, whether its evaluation fits one row chunk or spans many."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.core import pairwise_fn
 from repro.core.pairwise_fn import PairwiseComputation
 from repro.distance import CosineDistance, JaccardDistance, ThresholdRule
 from tests.conftest import make_shingle_store, make_vector_store
+from tests.core.reference_pairwise import reference_apply
 
 
 def _random_case(kind, seed):
@@ -30,8 +31,8 @@ def _random_case(kind, seed):
     return store, rule
 
 
-def _components(clusters):
-    return {frozenset(int(r) for r in c) for c in clusters}
+def _as_lists(clusters):
+    return [c.tolist() for c in clusters]
 
 
 @pytest.mark.parametrize("kind", ["vector", "shingles"])
@@ -40,29 +41,13 @@ def test_all_strategies_agree(kind, seed, monkeypatch):
     store, rule = _random_case(kind, seed)
     rids = store.rids
 
-    rowwise = PairwiseComputation(store, rule, strategy="rowwise").apply(rids)
-    blocked = PairwiseComputation(store, rule, strategy="blocked").apply(rids)
+    one_chunk = PairwiseComputation(store, rule).apply(rids)
+    reference = reference_apply(PairwiseComputation(store, rule), rids)
 
-    # Shrink the row-block height so even these modest stores span
-    # several blocks and exercise the block-vs-earlier evaluations.
-    monkeypatch.setattr(pairwise_fn, "BLOCK", 32)
-    blocked_small = PairwiseComputation(store, rule, strategy="blocked").apply(
-        rids
-    )
+    # Shrink the chunk so even these modest stores span many row chunks
+    # and exercise the chunk-vs-later evaluations.
+    monkeypatch.setattr(pairwise_fn, "_CROSS_CELL_CHUNK", 32 * len(rids))
+    many_chunks = PairwiseComputation(store, rule).apply(rids)
 
-    assert _components(rowwise) == _components(blocked)
-    assert _components(blocked) == _components(blocked_small)
-
-
-def test_auto_picks_rowwise_then_blocked():
-    """Regression (issue satellite): the measured ROWWISE_LIMIT keeps
-    mid-size clusters on the rowwise path and large sets on blocked.
-    The old ``ROWWISE_LIMIT = 3`` sent nearly every cluster Adaptive
-    LSH hands to ``P`` down the blocked path."""
-    store, rule = _random_case("vector", 0)
-    pc = PairwiseComputation(store, rule, strategy="auto")
-    assert pairwise_fn.ROWWISE_LIMIT >= 8, "mid-size clusters must stay rowwise"
-    assert pc.choose_strategy(8) == "rowwise"
-    assert pc.choose_strategy(pairwise_fn.ROWWISE_LIMIT) == "rowwise"
-    assert pc.choose_strategy(pairwise_fn.ROWWISE_LIMIT + 1) == "blocked"
-    assert pc.choose_strategy(5000) == "blocked"
+    assert _as_lists(one_chunk) == _as_lists(reference)
+    assert _as_lists(many_chunks) == _as_lists(reference)

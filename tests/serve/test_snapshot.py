@@ -96,6 +96,26 @@ class TestRoundTrip:
         finally:
             warm.close()
 
+    @pytest.mark.parametrize("strategy", ["auto", "rowwise", "blocked"])
+    def test_config_with_pairwise_strategy_restores(self, strategy, tmp_path):
+        """Snapshots written while ``P`` had a rowwise and a blocked
+        strategy carry ``pairwise_strategy`` in their config; they still
+        restore, drop the key and run identically."""
+        dataset = _generate("spotsigs", seed=7)
+        config = AdaptiveConfig(seed=7, cost_model="analytic")
+        with AdaptiveLSH(dataset.store, dataset.rule, config=config) as cold:
+            cold_result = cold.run(4)
+            snap = IndexSnapshot.capture(cold)
+        snap.header["config"]["pairwise_strategy"] = strategy
+        path = tmp_path / "older.npz"
+        snap.save(path)
+        warm = IndexSnapshot.load(path).restore(dataset.store)
+        try:
+            assert "pairwise_strategy" not in warm.config.to_dict()
+            assert _result_key(warm.run(4)) == _result_key(cold_result)
+        finally:
+            warm.close()
+
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_bit_identical_across_seeds(self, seed, tmp_path):
         dataset = _generate("querylog", seed=seed)

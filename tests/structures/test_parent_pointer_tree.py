@@ -1,12 +1,13 @@
-"""Tests for parent-pointer trees (Appendix B.1/B.2), including
-property-based cross-checks against a plain union-find."""
+"""Tests for the parent-pointer-tree oracle (Appendix B.1/B.2),
+including property-based cross-checks against a plain union-find."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StructureError
-from repro.structures import ParentPointerForest, UnionFind
+from repro.structures import UnionFind
+from tests.structures.parent_pointer_tree import ParentPointerForest
 
 
 class TestBasics:
