@@ -31,7 +31,9 @@ from .findings import Finding
 from .model import ModuleModel
 
 #: Packages whose code must not read the wall clock (R2).
-CLOCK_FREE_PACKAGES = frozenset({"core", "lsh", "structures", "distance"})
+CLOCK_FREE_PACKAGES = frozenset(
+    {"core", "lsh", "structures", "distance", "serve"}
+)
 #: Packages whose raises must come from the repro error taxonomy (R3).
 TAXONOMY_PACKAGES = frozenset({"core", "lsh"})
 #: Packages whose public functions must be fully annotated (R4).
@@ -239,7 +241,7 @@ class WallClockRule(Rule):
     """R2: algorithm packages read time only through ``repro.obs.clock``."""
 
     id = "R2"
-    title = "wall-clock access in core/lsh/structures/distance"
+    title = "wall-clock access in core/lsh/structures/distance/serve"
 
     _SUGGESTION = "route timing through repro.obs.clock.monotonic()"
 

@@ -47,7 +47,10 @@ class WorkCounters:
     ``pairs_charged`` is the conservative cost-model view of pairwise
     work (all pairs of every set handed to ``P``); ``pairs_compared``
     counts distance evaluations actually performed: the pairs whose
-    verdict the pair memo did not already hold.
+    verdict the pair memo did not already hold.  ``table_inserts``
+    counts the (record, table) entries hashing functions actually
+    grouped: an application that stops once its input is one component
+    does not count the tables it skipped.
     """
 
     hashes_computed: int = 0

@@ -3,8 +3,8 @@ its records, plus delta candidate generation for streams.
 
 A transitive hashing function (Definition 1, App. B.2) puts its input
 into fresh tables and unions the records that share a bucket.  This
-module finds those buckets for all of a level's tables at once, and
-keeps the bucket work incremental, as Property 4 keeps the hash values:
+module finds those buckets many tables at a time, and keeps the bucket
+work incremental, as Property 4 keeps the hash values:
 
 * **Fingerprints from the pools** — each (record, table) key is mixed
   to one ``uint64`` (splitmix64 over the key's big-endian words).  The
@@ -12,18 +12,28 @@ keeps the bucket work incremental, as Property 4 keeps the hash values:
   :class:`~repro.lsh.families.SignaturePool` columns, one NumPy pass
   per key element across all tables of a group; no packed key rows are
   ever built.
-* **One grouping pass per level** — :func:`group_table` sorts the whole
-  ``(records, tables)`` fingerprint matrix at once.  Only rows inside
-  multi-member fingerprint runs (the collision candidates) have their
-  key words gathered from the pools, for a byte-exact tie-break inside
-  fingerprint-equal runs, so the groups are exactly the per-table
-  buckets whatever the fingerprints.  The groups are a set: their
-  edges go to one connected-components pass, so neither group order nor
-  repeated edges matter.
-* **Fingerprint persistence** — each level caches the ``(n_records,
+* **Tables in doubling chunks** — :func:`group_table` sorts a
+  ``(records, tables)`` fingerprint matrix at once.  An application
+  groups its level's tables in chunks (:func:`table_chunks`): the first
+  covers about :data:`FLOOR` (record, table) entries, each later one is
+  twice as wide, and
+  :meth:`~repro.core.transitive.TransitiveHashingFunction.apply` stops
+  as soon as the chunks seen so far join the whole input, since more
+  tables can only merge components.  An input of at most :data:`FLOOR`
+  entries is grouped in one pass.  Fingerprints and pool columns are
+  produced per chunk too, so the tables after an early exit are never
+  hashed.  Only rows inside multi-member fingerprint runs (the
+  collision candidates) have their key words gathered from the pools,
+  for a byte-exact tie-break inside fingerprint-equal runs, so the
+  groups are exactly the per-table buckets whatever the fingerprints.
+  The groups are a set: their edges go to connected-components passes,
+  so neither group order nor repeated edges matter.
+* **Fingerprint persistence** — each level caches an ``(n_records,
   n_tables)`` fingerprint matrix under a byte budget, shared by every
-  :class:`LevelBins` view of it; over budget means "compute, don't
-  store", never "fail".
+  :class:`LevelBins` view of it, and per record the number of leading
+  tables it holds.  A later application reads that prefix and computes
+  only the tables past it; over budget means "compute, don't store",
+  never "fail".
 * **Delta candidate generation** — :class:`H1DeltaIndex` keeps the
   first level's per-table ``(fingerprint, rid)`` arrays sorted across
   insert batches.  A new batch merge-inserts its keys and emits
@@ -42,14 +52,14 @@ over the word columns reproduces the byte-lexicographic order.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..kernels.base import _splitmix64
 from ..obs.clock import monotonic
-from ..types import AnyArray, BoolArray, IntArray
+from ..types import AnyArray, IntArray
 
 if TYPE_CHECKING:
     from ..obs.observer import RunObserver
@@ -64,6 +74,11 @@ DEFAULT_MAX_BYTES = 128 << 20
 #: Fingerprinting processes records in chunks whose key words take
 #: about this many bytes, so a wide level never holds all its keys.
 CHUNK_BYTES = 16 << 20
+
+#: The first chunk of a level's tables holds about this many (record,
+#: table) entries; each later chunk is twice as wide.  An input this
+#: small or smaller is grouped in one pass.
+FLOOR = 1 << 16
 
 #: CSR collision groups: ``members`` concatenates the row positions of
 #: every group; ``starts[i]:starts[i+1]`` spans group ``i``.
@@ -214,7 +229,7 @@ def group_table(fps: AnyArray, words_of: WordsFn) -> CsrGroups:
     m, n_tables = fps.shape
     if m < 2 or n_tables == 0:
         return _empty_csr()
-    # One sort per level, rows = tables, so flat index t * m + i walks
+    # One sort per call, rows = tables, so flat index t * m + i walks
     # the tables in order.  Each entry packs the fingerprint's top bits
     # over the row position: a plain value sort is then a stable
     # fingerprint argsort.  Equal keys share one run with positions
@@ -287,6 +302,19 @@ def csr_edges(
     return heads, members[~is_head]
 
 
+def table_chunks(rows: int, tables: int) -> Iterator[tuple[int, int]]:
+    """Doubling table ranges ``[t0, t1)`` that cover ``tables`` tables
+    for an input of ``rows`` records: the first holds about
+    :data:`FLOOR` entries (at least one table), each later one twice
+    as many tables as the one before."""
+    width = max(1, -(-FLOOR // max(rows, 1)))
+    t0 = 0
+    while t0 < tables:
+        t1 = min(tables, t0 + width)
+        yield t0, t1
+        t0, width = t1, width * 2
+
+
 # ----------------------------------------------------------------------
 class _LevelState:
     """One level's persistent fingerprints.  The owner keeps these, not
@@ -299,72 +327,99 @@ class _LevelState:
         #: fingerprint matrix against the byte budget.
         self.sized = False
         self.fps: AnyArray | None = None
-        self.have: BoolArray = np.zeros(0, dtype=bool)
+        #: Per record, how many leading tables ``fps`` holds.
+        self.have: AnyArray = np.zeros(0, dtype=np.uint8)
 
 
 class LevelBins:
     """One sequence level's persistent fingerprint matrix plus the
-    level-at-once grouping used by
+    grouping of a chunk of its tables, used by
     :class:`~repro.core.transitive.TransitiveHashingFunction`."""
 
     def __init__(self, owner: SchemeBinIndex, level: int, state: _LevelState) -> None:
-        self._owner = owner
+        self.owner = owner
         self.level = level
         self._state = state
 
-    def fingerprints(self, scheme: HashingScheme, rids: IntArray) -> AnyArray:
-        """Per-table fingerprints for ``rids``: ``(len(rids),
-        table_count)`` uint64.
+    def fingerprints(
+        self,
+        scheme: HashingScheme,
+        rids: IntArray,
+        t0: int = 0,
+        t1: int | None = None,
+    ) -> AnyArray:
+        """Fingerprints of tables ``[t0, t1)`` (every table by default)
+        for ``rids``: ``(len(rids), t1 - t0)`` uint64.
 
-        Cached fingerprints are served without touching the pools;
-        missing ones are computed from the pool columns and stored when
-        the byte budget allows.
+        Cached fingerprints are served without touching the pools.  A
+        record whose cached prefix ends before ``t1`` has the tables
+        past it computed from the pool columns and appended when the
+        byte budget allows; records are batched by prefix length, as
+        :meth:`~repro.lsh.families.SignaturePool.ensure` batches them
+        by fill level.
         """
-        owner = self._owner
+        owner = self.owner
         state = self._state
+        n_tables = scheme.table_count
+        if t1 is None:
+            t1 = n_tables
         if not state.sized:
             state.sized = True
-            n_tables = scheme.table_count
             if owner.reserve(owner.n_records * (n_tables * 8 + 1)):
                 state.fps = np.zeros(
                     (owner.n_records, n_tables), dtype=np.uint64
                 )
-                state.have = np.zeros(owner.n_records, dtype=bool)
+                # The narrowest dtype that counts every table: one
+                # byte per record below 256 tables, as reserved.
+                state.have = np.zeros(
+                    owner.n_records, dtype=np.min_scalar_type(n_tables)
+                )
             else:
                 owner.degraded += 1
         if state.fps is None:
             # Over the byte budget: stay a pass-through.
             owner.record_fp(0, int(rids.size))
-            return table_fingerprints(scheme, rids)
-        known = state.have[rids]
-        hits = int(known.sum())
-        if hits < rids.size:
-            missing = rids[~known]
-            state.fps[missing] = table_fingerprints(scheme, missing)
-            state.have[missing] = True
-        owner.record_fp(hits, int(rids.size) - hits)
-        return state.fps[rids]
+            return table_fingerprints(scheme.tables(t0, t1), rids)
+        have = state.have[rids]
+        short = have < t1
+        misses = int(short.sum())
+        if misses:
+            missing, held = rids[short], have[short]
+            for level in np.unique(held).tolist():
+                batch = missing[held == level]
+                state.fps[batch, level:t1] = table_fingerprints(
+                    scheme.tables(level, t1), batch
+                )
+                state.have[batch] = t1
+        owner.record_fp(int(rids.size) - misses, misses)
+        return state.fps[rids, t0:t1]
 
     def edges(
-        self, scheme: HashingScheme, rids: IntArray
+        self,
+        scheme: HashingScheme,
+        rids: IntArray,
+        t0: int = 0,
+        t1: int | None = None,
     ) -> tuple[IntArray, IntArray]:
-        """The collision edges of one application of this level to
-        ``rids``, as row positions: each bucket's head joined to its
-        other members, in every table.  Repeats across tables stay."""
-        owner = self._owner
+        """The collision edges of tables ``[t0, t1)`` (every table by
+        default) over ``rids``, as row positions: each bucket's head
+        joined to its other members, in every table.  Repeats across
+        tables stay."""
+        if t1 is None:
+            t1 = scheme.table_count
+        owner = self.owner
         obs = owner.observer
         timed = obs is not None and obs.enabled
         started = monotonic() if timed else 0.0
-        fps = self.fingerprints(scheme, rids)
+        fps = self.fingerprints(scheme, rids, t0, t1)
+        chunk = scheme.tables(t0, t1)
         members, starts = group_table(
             fps,
             lambda tables, positions: key_words(
-                scheme, tables, rids, positions
+                chunk, tables, rids, positions
             ),
         )
-        owner.record_group(
-            scheme.table_count, int(rids.size), int(starts.size - 1)
-        )
+        owner.record_group(t1 - t0, int(rids.size), int(starts.size - 1))
         heads, others = csr_edges(members, starts)
         if timed:
             assert obs is not None
@@ -399,6 +454,8 @@ class SchemeBinIndex:
         self.fp_misses = 0
         self.tables_grouped = 0
         self.rows_grouped = 0
+        #: (record, table) entries an early exit left ungrouped.
+        self.tables_skipped = 0
         self.collision_groups = 0
         self.delta_batches = 0
         self.delta_rows = 0
@@ -446,8 +503,8 @@ class SchemeBinIndex:
                 obs.counter("binindex.fp_misses").inc(misses)
 
     def record_group(self, tables: int, rows: int, groups: int) -> None:
-        """Count one level-at-once grouping of ``rows`` records in each
-        of ``tables`` tables."""
+        """Count one grouping of ``rows`` records in each of ``tables``
+        tables."""
         self.tables_grouped += tables
         self.rows_grouped += tables * rows
         self.collision_groups += groups
@@ -456,6 +513,16 @@ class SchemeBinIndex:
             obs.counter("binindex.tables_grouped").inc(tables)
             obs.counter("binindex.rows_grouped").inc(tables * rows)
             obs.counter("binindex.collision_groups").inc(groups)
+
+    def record_skip(self, tables: int, rows: int) -> None:
+        """Count ``tables`` tables an application of ``rows`` records
+        left ungrouped because its input was already one component."""
+        if not tables:
+            return
+        self.tables_skipped += tables * rows
+        obs = self.observer
+        if obs is not None and obs.enabled:
+            obs.counter("binindex.tables_skipped").inc(tables * rows)
 
     def record_delta(self, rows: int, pairs: int, buckets: int) -> None:
         self.delta_batches += 1
@@ -479,6 +546,7 @@ class SchemeBinIndex:
             "fp_misses": int(self.fp_misses),
             "tables_grouped": int(self.tables_grouped),
             "rows_grouped": int(self.rows_grouped),
+            "tables_skipped": int(self.tables_skipped),
             "collision_groups": int(self.collision_groups),
             "degraded": int(self.degraded),
             "delta": {

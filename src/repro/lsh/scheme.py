@@ -14,7 +14,8 @@ later function in the sequence uses larger ``w`` and ``z`` over the
 *same pools*, all previously computed hash values are reused
 (incremental computation, Property 4).  A scheme only describes the
 layout; :mod:`repro.lsh.binindex` reads the keys straight from the
-pools and groups records by them.
+pools and groups records by them, a range of tables
+(:meth:`HashingScheme.tables`) at a time.
 """
 
 from __future__ import annotations
@@ -88,6 +89,30 @@ class HashingScheme:
     @property
     def table_count(self) -> int:
         return sum(g.z for g in self.groups)
+
+    def tables(self, start: int, stop: int) -> HashingScheme:
+        """The scheme of tables ``[start, stop)``: its table ``j`` reads
+        the same pool columns as table ``start + j`` of this one, so its
+        keys are that table's keys.  A cut inside a group keeps the
+        group's uses and moves their offsets past the dropped tables."""
+        if start == 0 and stop == self.table_count:
+            return self
+        groups = []
+        t0 = 0
+        for group in self.groups:
+            lo, hi = max(start - t0, 0), min(stop - t0, group.z)
+            if lo < hi:
+                groups.append(
+                    TableGroup(
+                        hi - lo,
+                        tuple(
+                            PoolUse(use.pool, use.w, use.offset + lo * use.w)
+                            for use in group.uses
+                        ),
+                    )
+                )
+            t0 += group.z
+        return HashingScheme(groups)
 
     def layout_spec(self) -> list[dict[str, Any]]:
         """JSON-friendly structural description of this scheme.

@@ -1,7 +1,7 @@
 """The library's single wall-clock funnel.
 
-Library code in ``core/``, ``lsh/``, ``structures/`` and ``distance/``
-must never read the clock directly (invariant rule R2 of
+Library code in ``core/``, ``lsh/``, ``structures/``, ``distance/`` and
+``serve/`` must never read the clock directly (invariant rule R2 of
 :mod:`repro.analysis`): all timing flows through :func:`monotonic`, so
 
 * every timed quantity in the package shares one clock source and one

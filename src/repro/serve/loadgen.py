@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 from ..errors import ConfigurationError, ServiceError
+from ..obs.clock import monotonic
 from ..records import FieldKind, RecordStore
 from ..rngutil import make_rng
 from .service import ResolverService
@@ -238,7 +238,7 @@ async def _fire(
     write_payloads: list[dict[str, Any]],
     timeout: float,
 ) -> None:
-    delay = start + op.at - time.perf_counter()
+    delay = start + op.at - monotonic()
     if delay > 0:
         await asyncio.sleep(delay)
     try:
@@ -258,9 +258,9 @@ async def _fire(
     except (OSError, asyncio.TimeoutError, ServiceError, ValueError) as exc:
         op.status = -1
         op.error = f"{type(exc).__name__}: {exc}"
-        op.latency_ms = (time.perf_counter() - (start + op.at)) * 1000.0
+        op.latency_ms = (monotonic() - (start + op.at)) * 1000.0
         return
-    op.latency_ms = (time.perf_counter() - (start + op.at)) * 1000.0
+    op.latency_ms = (monotonic() - (start + op.at)) * 1000.0
     op.status = status
     if status == 200 and op.kind == "top_k":
         op.generation = int(data.get("generation", -1))
@@ -280,14 +280,14 @@ async def run_schedule(
     timeout: float,
 ) -> float:
     """Fire the schedule open loop; returns the elapsed wall time."""
-    start = time.perf_counter()
+    start = monotonic()
     await asyncio.gather(
         *(
             _fire(host, port, start, op, write_payloads, timeout)
             for op in schedule
         )
     )
-    return time.perf_counter() - start
+    return monotonic() - start
 
 
 # ----------------------------------------------------------------------

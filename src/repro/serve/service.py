@@ -49,7 +49,6 @@ import json
 import multiprocessing
 import queue
 import threading
-import time
 import traceback
 from typing import TYPE_CHECKING, Any
 
@@ -57,6 +56,7 @@ from ..core.config import AdaptiveConfig
 from ..errors import ConfigurationError, ReproError, SchemaError, ServiceError
 from ..io import rule_from_spec, rule_to_spec
 from ..obs import RunObserver
+from ..obs.clock import monotonic
 from ..obs.report import RunReport
 from ..parallel.sharing import (
     DiskStoreRef,
@@ -499,7 +499,7 @@ class ResolverService:
             )
         sockets = self._server.sockets
         self.port = int(sockets[0].getsockname()[1]) if sockets else None
-        self._started_at = time.perf_counter()
+        self._started_at = monotonic()
 
     async def stop(self) -> None:
         """Stop accepting connections, then drain and stop every shard."""
@@ -657,14 +657,14 @@ class ResolverService:
             }
         )
         if self._started_at is not None:
-            out["uptime_s"] = time.perf_counter() - self._started_at
+            out["uptime_s"] = monotonic() - self._started_at
         return out
 
     def run_report(self) -> RunReport:
         """The service lifetime as a :class:`RunReport` (``serving``
         section = :meth:`stats`; latency histograms under metrics)."""
         wall = (
-            time.perf_counter() - self._started_at
+            monotonic() - self._started_at
             if self._started_at is not None
             else 0.0
         )
@@ -800,11 +800,11 @@ class ResolverService:
                 if request is None:
                     break
                 method, path, headers, body = request
-                started = time.perf_counter()
+                started = monotonic()
                 status, payload, extra = await self._dispatch(
                     method, path, body
                 )
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                elapsed_ms = (monotonic() - started) * 1000.0
                 self.obs.histogram("serve.latency_ms").observe(elapsed_ms)
                 self.obs.histogram(f"serve.latency_ms.{path.lstrip('/')}")\
                     .observe(elapsed_ms)
