@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections.abc import Iterable, Iterator, Sequence
+import itertools
+import operator
+import reprlib
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any, overload
 
@@ -33,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SchemaError
-from .types import ArrayLike, FloatArray, IntArray
+from .types import ArrayLike, BoolArray, FloatArray, IntArray
 
 
 class FieldKind(enum.Enum):
@@ -133,14 +136,6 @@ class StoreBacking:
     hi: int
 
 
-def _as_sorted_ids(values: Iterable[int]) -> IntArray:
-    """Coerce a shingle collection into a sorted, unique int64 array."""
-    arr = np.asarray(sorted(set(int(v) for v in values)), dtype=np.int64)
-    if arr.size and arr.min() < 0:
-        raise SchemaError("shingle ids must be non-negative integers")
-    return arr
-
-
 class ShingleColumn(Sequence[IntArray]):
     """CSR-style storage of one shingle-set field.
 
@@ -170,18 +165,6 @@ class ShingleColumn(Sequence[IntArray]):
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_sets(cls, sets: Sequence[IntArray]) -> ShingleColumn:
-        """Build a zero-based column from per-row sorted id arrays."""
-        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-        if len(sets):
-            np.cumsum([s.size for s in sets], out=offsets[1:])
-        if int(offsets[-1]):
-            values = np.concatenate(sets).astype(np.int64, copy=False)
-        else:
-            values = np.zeros(0, dtype=np.int64)
-        return cls(offsets, values)
-
     @classmethod
     def concat(cls, columns: Sequence[ShingleColumn]) -> ShingleColumn:
         """One zero-based column holding every input's rows in order."""
@@ -306,26 +289,118 @@ class ShingleColumn(Sequence[IntArray]):
             raise SchemaError("shingle offsets must be non-decreasing")
         if int(offsets[0]) < 0 or int(offsets[-1]) > self.values.shape[0]:
             raise SchemaError("shingle offsets exceed the values array")
-        flat = self.flat
-        if flat.size and int(flat.min()) < 0:
-            raise SchemaError("shingle ids must be non-negative integers")
-        if flat.size > 1:
-            rising = np.ones(flat.size, dtype=bool)
-            rising[1:] = np.diff(flat) > 0
-            row_starts = self.rebased_offsets()[:-1]
-            rising[row_starts[row_starts < flat.size]] = True
-            if not rising.all():
-                raise SchemaError(
-                    "shingle rows must be sorted and duplicate-free"
-                )
+        rebased = self.rebased_offsets()
+        rising = _rising(self.flat, rebased, "")
+        if not rising.all():
+            raise SchemaError(
+                f"row {_row_of(rebased, int(rising.argmin()))}: "
+                "shingle rows must be sorted and duplicate-free"
+            )
 
 
-def _coerce_shingle_column(col: Any) -> ShingleColumn:
+_ROW_TYPES = (np.ndarray, list, tuple, set, frozenset)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _row_of(offsets: IntArray, position: int) -> int:
+    """The row of zero-based ``offsets`` that holds id ``position``."""
+    return int(np.searchsorted(offsets, position, side="right")) - 1
+
+
+def _rising(flat: IntArray, offsets: IntArray, where: str) -> BoolArray:
+    """Mask of the ids that start their row or exceed their predecessor.
+
+    ``offsets`` are zero-based over ``flat``.  Every row is sorted and
+    duplicate-free exactly when the mask is all true; over sorted rows
+    it marks the first copy of each id.  A negative id raises
+    :class:`SchemaError` naming its row.
+    """
+    if flat.size and int(flat.min()) < 0:
+        row = _row_of(offsets, int(np.argmax(flat < 0)))
+        raise SchemaError(
+            f"{where}row {row}: shingle ids must be non-negative integers"
+        )
+    rising = np.ones(flat.size, dtype=bool)
+    np.greater(flat[1:], flat[:-1], out=rising[1:])
+    starts = offsets[:-1]
+    rising[starts[starts < flat.size]] = True
+    return rising
+
+
+def _row_ids(row: Any, i: int, where: str) -> IntArray:
+    """Row ``i`` as int64 ids, or :class:`SchemaError` unless it is a
+    collection of integers that fit int64."""
+    if isinstance(row, _ROW_TYPES):
+        try:
+            return np.fromiter(
+                map(operator.index, row), dtype=np.int64, count=len(row)
+            )
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise SchemaError(
+        f"{where}row {i}: shingle ids must be integers in the int64 range, "
+        f"got {reprlib.repr(row)}"
+    )
+
+
+def _gather(rows: list[Any], where: str) -> tuple[IntArray, IntArray]:
+    """Every row's ids concatenated as int64, and each row's length.
+
+    One ``np.concatenate`` of the non-empty rows when their ids come out
+    as integers that fit int64.  Any other column (sets, dtypes that
+    promote to float, a bad row) is gathered row by row, which names the
+    first bad row.
+    """
+    if set(map(type, rows)).issubset(_ROW_TYPES):
+        try:
+            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            filled = list(itertools.compress(rows, lengths.tolist()))
+            flat = np.concatenate(filled) if filled else np.zeros(0, np.int64)
+        except (TypeError, ValueError, OverflowError):
+            flat = None
+        # A 1-D result means every row was 1-D (concatenate demands it).
+        if flat is not None and flat.ndim == 1 and (
+            flat.dtype.kind == "i"
+            or (flat.dtype.kind == "u" and int(flat.max()) <= _INT64_MAX)
+        ):
+            return flat.astype(np.int64, copy=False), lengths
+    parts = [_row_ids(row, i, where) for i, row in enumerate(rows)]
+    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    return (np.concatenate(parts) if parts else np.zeros(0, np.int64)), lengths
+
+
+def _column_from_rows(col: Any, where: str) -> ShingleColumn:
+    """A zero-based column of ``col``'s rows, each sorted and deduplicated.
+
+    The rows are gathered into one array and checked with the rising
+    mask :meth:`ShingleColumn.validate` uses.  Only when some row is
+    unsorted or repeats an id is the column sorted, once, by (row, id),
+    and the repeats dropped.
+    """
+    try:
+        rows = list(col)
+    except TypeError:
+        raise SchemaError(
+            f"{where}expected a sequence of rows, got {reprlib.repr(col)}"
+        ) from None
+    flat, lengths = _gather(rows, where)
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    if _rising(flat, offsets, where).all():
+        return ShingleColumn(offsets, flat)
+    row_ids = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    flat = flat[np.lexsort((flat, row_ids))]
+    keep = _rising(flat, offsets, where)
+    np.cumsum(np.bincount(row_ids[keep], minlength=lengths.size), out=offsets[1:])
+    return ShingleColumn(offsets, flat[keep])
+
+
+def _coerce_shingle_column(col: Any, field: str) -> ShingleColumn:
     """Validated :class:`ShingleColumn` from any accepted column input.
 
     An existing :class:`ShingleColumn` (or an ``(offsets, values)``
     pair) is adopted after the vectorized invariant check; anything
-    else goes through the per-row sort/dedup coercion.
+    else is a sequence of rows (:func:`_column_from_rows`).
     """
     if isinstance(col, ShingleColumn):
         col.validate()
@@ -341,7 +416,7 @@ def _coerce_shingle_column(col: Any) -> ShingleColumn:
         )
         column.validate()
         return column
-    return ShingleColumn.from_sets([_as_sorted_ids(v) for v in col])
+    return _column_from_rows(col, f"shingle field {field!r}, ")
 
 
 class RecordStore:
@@ -353,10 +428,11 @@ class RecordStore:
         Field declarations.
     columns:
         Mapping from field name to column data: a ``(n, d)`` array for
-        ``VECTOR`` fields; for ``SHINGLES`` fields a sequence of
-        shingle-id collections, an existing :class:`ShingleColumn`, or
-        an ``(offsets, values)`` array pair.  All columns must agree on
-        ``n``.
+        ``VECTOR`` fields; for ``SHINGLES`` fields a sequence of rows
+        (arrays, lists, tuples, sets or frozensets of non-negative
+        integer ids that fit int64; each row is sorted and deduplicated),
+        an existing :class:`ShingleColumn`, or an ``(offsets, values)``
+        array pair.  All columns must agree on ``n``.
     """
 
     def __init__(self, schema: Schema, columns: dict[str, Any]) -> None:
@@ -390,7 +466,7 @@ class RecordStore:
                 self._vectors[spec.name] = mat
                 sizes.add(int(mat.shape[0]))
             else:
-                column = _coerce_shingle_column(col)
+                column = _coerce_shingle_column(col, spec.name)
                 self._shingles[spec.name] = column
                 sizes.add(len(column))
         if len(sizes) != 1:

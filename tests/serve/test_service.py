@@ -305,6 +305,23 @@ class TestRollover:
 
         _serve(dataset, _config(rollover_records=1000), body)
 
+    def test_insert_with_float_ids_is_refused(self, dataset):
+        async def body(svc):
+            columns = store_columns_payload(dataset.store, 0, 2)
+            columns["tokens"][1] = [1.5, 2.0]
+            status, out = await http_request(
+                "127.0.0.1",
+                svc.port,
+                "POST",
+                "/insert_records",
+                {"columns": columns},
+            )
+            assert status == 400
+            assert "'tokens', row 1" in out["error"]
+            assert svc.stats()["pending_writes"] == 0
+
+        _serve(dataset, _config(rollover_records=1000), body)
+
 
 def _planted_store(sizes_and_noise, dim=16, seed=0):
     """Contiguous planted clusters: ``[(sizes, n_noise), ...]`` blocks."""
